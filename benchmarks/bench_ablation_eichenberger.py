@@ -30,6 +30,7 @@ def test_ablation_eichenberger_regenerate(results_dir, benchmark):
             )
             flat = machine.build_or()
             reduced = reduce_mdes_options(flat)
+            assert reduced.name == name
             ours = staged_mdes(flat, 4)
             row = [name]
             for mdes in (flat, reduced, ours):
@@ -63,10 +64,3 @@ def test_ablation_eichenberger_regenerate(results_dir, benchmark):
     # checks for the simple machines.
     for row in rows:
         assert row[3] <= row[1]
-
-
-def test_ablation_bench_reduction(benchmark):
-    """Time the greedy reduction on the SuperSPARC flat description."""
-    mdes = get_machine("SuperSPARC").build_or()
-    reduced = benchmark(reduce_mdes_options, mdes)
-    assert reduced.name == "SuperSPARC"

@@ -9,13 +9,9 @@ from repro.machines import get_machine
 def test_fig1_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.fig1_load_reservation_tables())
     assert text.count("Option") == 6
-    write_result(results_dir, "fig1_load_options.txt", text)
-
-
-def test_fig1_bench_expansion(benchmark):
-    """Time the AND/OR -> OR preprocessor on the load tree."""
+    # The AND/OR -> OR preprocessor expands the load tree to six options.
     constraint = get_machine("SuperSPARC").build_andor().op_class(
         "load"
     ).constraint
-    flat = benchmark(expand_to_or_tree, constraint)
-    assert len(flat) == 6
+    assert len(expand_to_or_tree(constraint)) == 6
+    write_result(results_dir, "fig1_load_options.txt", text)

@@ -2,18 +2,9 @@
 
 from conftest import write_result
 
-from repro.lowlevel.compiled import compile_mdes
-from repro.machines import get_machine
-
 
 def test_fig3_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.fig3_representations())
     assert "AND over 3 OR-trees" in text
+    assert "load" in suite.compiled("SuperSPARC", "andor", 0, True).constraints
     write_result(results_dir, "fig3_representations.txt", text)
-
-
-def test_fig3_bench_compile(benchmark):
-    """Time low-level compilation of the whole SuperSPARC description."""
-    mdes = get_machine("SuperSPARC").build_andor()
-    compiled = benchmark(compile_mdes, mdes)
-    assert "load" in compiled.constraints

@@ -9,11 +9,5 @@ from repro.transforms import shift_usage_times
 def test_fig5_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.fig5_shifted_load())
     assert "-1 |" not in text  # decode usages moved to time zero
+    assert shift_usage_times(get_machine("K5").build_or()).name == "K5"
     write_result(results_dir, "fig5_time_shift.txt", text)
-
-
-def test_fig5_bench_shift(benchmark):
-    """Time the usage-time transformation over the K5 flat form."""
-    mdes = get_machine("K5").build_or()
-    shifted = benchmark(shift_usage_times, mdes)
-    assert shifted.name == "K5"

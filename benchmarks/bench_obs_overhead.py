@@ -122,10 +122,7 @@ def test_obs_overhead_within_gate(
         ],
         title="Observability overhead on the list-scheduling kernel",
     )
-    # Passing the payload through write_result lands the overhead
-    # figures in the shared BENCH_history.jsonl under --json runs, in
-    # addition to the unconditional BENCH_obs.json evidence above.
-    write_result(results_dir, "obs_overhead.txt", text, payload=payload)
+    write_result(results_dir, "obs_overhead.txt", text)
 
     assert passed, (
         f"obs enabled-mode overhead is demonstrably above the gate: "

@@ -32,15 +32,16 @@ OPTIMALITY_SEED = 20161202
 
 
 def _machine_row(machine_name):
-    from repro.api import schedule_exact
+    from repro.api import ScheduleRequest, schedule_exact
 
     machine = get_machine(machine_name)
     blocks = generate_blocks(machine, WorkloadConfig(
         total_ops=OPTIMALITY_OPS, seed=OPTIMALITY_SEED,
         block_size_range=OPTIMALITY_BLOCK_RANGE,
     ))
+    request = ScheduleRequest(machine=machine, blocks=blocks)
     started = time.perf_counter()
-    run = schedule_exact(machine, blocks)
+    run = schedule_exact(request).result
     elapsed = time.perf_counter() - started
     per_block = [
         {

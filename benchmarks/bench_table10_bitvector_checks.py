@@ -1,10 +1,6 @@
 """Table 10: checks per attempt before/after bit-vector packing."""
 
-import pytest
 from conftest import write_result
-
-from repro.machines import get_machine
-from repro.scheduler import schedule_workload
 
 
 def test_table10_regenerate(suite, results_dir, benchmark):
@@ -13,17 +9,6 @@ def test_table10_regenerate(suite, results_dir, benchmark):
     for row in rows.values():
         assert row[2] <= row[1] + 1e-9
         assert row[5] <= row[4] + 1e-9
+    for bitvector in (False, True):
+        assert suite.run("Pentium", "or", 1, bitvector).total_ops > 0
     write_result(results_dir, "table10_bitvector_checks.txt", text)
-
-
-@pytest.mark.parametrize("bitvector", [False, True],
-                         ids=["scalar", "bitvector"])
-def test_table10_bench_pentium_scheduling(
-    benchmark, kernel_workloads, kernel_compiled, bitvector
-):
-    """Time Pentium scheduling with and without bit-vector packing."""
-    machine = get_machine("Pentium")
-    compiled = kernel_compiled("Pentium", "or", 1, bitvector)
-    blocks = kernel_workloads("Pentium")
-    result = benchmark(schedule_workload, machine, compiled, blocks)
-    assert result.total_ops > 0

@@ -14,14 +14,5 @@ def test_table11_regenerate(suite, results_dir, benchmark):
     or_cut = (sparc[1] - sparc[2]) / sparc[1]
     andor_cut = (sparc[4] - sparc[5]) / sparc[4]
     assert or_cut > andor_cut
+    assert suite.mdes("SuperSPARC", "andor", 3).unused_trees == {}
     write_result(results_dir, "table11_timeshift_size.txt", text)
-
-
-def test_table11_bench_staging(benchmark):
-    """Time the full stage-3 pipeline on the SuperSPARC AND/OR form."""
-    from repro.transforms.pipeline import staged_mdes
-    from repro.machines import get_machine
-
-    base = get_machine("SuperSPARC").build_andor()
-    staged = benchmark(staged_mdes, base, 3)
-    assert staged.unused_trees == {}

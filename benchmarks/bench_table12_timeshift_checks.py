@@ -1,10 +1,6 @@
 """Table 12: checks before/after time shifting + zero-first sorting."""
 
-import pytest
 from conftest import write_result
-
-from repro.machines import get_machine
-from repro.scheduler import schedule_workload
 
 
 def test_table12_regenerate(suite, results_dir, benchmark):
@@ -13,16 +9,6 @@ def test_table12_regenerate(suite, results_dir, benchmark):
         # Near the ideal of one check per option (paper: 1.01-1.12).
         assert row[4] <= 1.25
         assert row[8] <= 1.25
+    for stage in (1, 3):
+        assert suite.run("SuperSPARC", "or", stage, True).total_ops > 0
     write_result(results_dir, "table12_timeshift_checks.txt", text)
-
-
-@pytest.mark.parametrize("stage", [1, 3], ids=["before", "after"])
-def test_table12_bench_supersparc_or(
-    benchmark, kernel_workloads, kernel_compiled, stage
-):
-    """Time SuperSPARC OR-form scheduling before/after the transform."""
-    machine = get_machine("SuperSPARC")
-    compiled = kernel_compiled("SuperSPARC", "or", stage, True)
-    blocks = kernel_workloads("SuperSPARC")
-    result = benchmark(schedule_workload, machine, compiled, blocks)
-    assert result.total_ops > 0

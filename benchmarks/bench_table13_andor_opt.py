@@ -3,9 +3,6 @@
 import pytest
 from conftest import write_result
 
-from repro.machines import get_machine
-from repro.scheduler import schedule_workload
-
 
 def test_table13_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.table13())
@@ -15,16 +12,6 @@ def test_table13_regenerate(suite, results_dir, benchmark):
         assert rows[name][2] < rows[name][1]
     for name in ("PA7100", "Pentium"):
         assert rows[name][2] == pytest.approx(rows[name][1])
+    for stage in (3, 4):
+        assert suite.run("K5", "andor", stage, True).total_ops > 0
     write_result(results_dir, "table13_andor_opt.txt", text)
-
-
-@pytest.mark.parametrize("stage", [3, 4], ids=["before", "after"])
-def test_table13_bench_k5_andor(
-    benchmark, kernel_workloads, kernel_compiled, stage
-):
-    """Time K5 AND/OR scheduling before/after tree reordering."""
-    machine = get_machine("K5")
-    compiled = kernel_compiled("K5", "andor", stage, True)
-    blocks = kernel_workloads("K5")
-    result = benchmark(schedule_workload, machine, compiled, blocks)
-    assert result.total_ops > 0

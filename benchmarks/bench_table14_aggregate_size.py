@@ -14,11 +14,5 @@ def test_table14_regenerate(suite, results_dir, benchmark):
     assert rows["SuperSPARC"][4] < rows["SuperSPARC"][1] / 10
     # OR-only transforms alone reach roughly the paper's factor 2-5.
     assert rows["K5"][2] < rows["K5"][1]
+    assert optimize(get_machine("K5").build_andor()).unused_trees == {}
     write_result(results_dir, "table14_aggregate_size.txt", text)
-
-
-def test_table14_bench_full_pipeline(benchmark):
-    """Time the entire transformation pipeline on the K5 AND/OR form."""
-    mdes = get_machine("K5").build_andor()
-    result = benchmark(optimize, mdes)
-    assert result.unused_trees == {}

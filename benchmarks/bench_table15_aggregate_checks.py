@@ -1,10 +1,8 @@
 """Table 15: aggregate effect of all transformations on checks."""
 
-import pytest
 from conftest import write_result
 
-from repro.machines import MACHINE_NAMES, get_machine
-from repro.scheduler import schedule_workload
+from repro.machines import MACHINE_NAMES
 
 
 def test_table15_regenerate(suite, results_dir, benchmark):
@@ -16,16 +14,6 @@ def test_table15_regenerate(suite, results_dir, benchmark):
     assert rows["K5"][4] < rows["K5"][1] / 5
     # Transformations alone (OR form) reach roughly a factor 1.5-2.6.
     assert rows["SuperSPARC"][2] < rows["SuperSPARC"][1]
+    for machine_name in MACHINE_NAMES:
+        assert suite.run(machine_name, "andor", 4, True).total_ops > 0
     write_result(results_dir, "table15_aggregate_checks.txt", text)
-
-
-@pytest.mark.parametrize("machine_name", MACHINE_NAMES)
-def test_table15_bench_fully_optimized(
-    benchmark, kernel_workloads, kernel_compiled, machine_name
-):
-    """Time scheduling with the fully optimized AND/OR description."""
-    machine = get_machine(machine_name)
-    compiled = kernel_compiled(machine_name, "andor", 4, True)
-    blocks = kernel_workloads(machine_name)
-    result = benchmark(schedule_workload, machine, compiled, blocks)
-    assert result.total_ops > 0

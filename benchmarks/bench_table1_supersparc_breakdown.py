@@ -2,23 +2,13 @@
 
 from conftest import write_result
 
-from repro.scheduler import schedule_workload
-from repro.machines import get_machine
-
 
 def test_table1_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.table_breakdown("SuperSPARC"))
     rows = suite.option_breakdown("SuperSPARC")
     assert [row[0] for row in rows] == [1, 3, 6, 12, 24, 36, 48, 72]
+    # Prepass scheduling with the original AND/OR description places
+    # every operation of the workload.
+    run = suite.run("SuperSPARC", "andor", 0, False)
+    assert run.total_ops == sum(len(b) for b in suite.workload("SuperSPARC"))
     write_result(results_dir, "table1_supersparc_breakdown.txt", text)
-
-
-def test_table1_bench_prepass_scheduling(
-    benchmark, kernel_workloads, kernel_compiled
-):
-    """Time prepass scheduling with the original AND/OR description."""
-    machine = get_machine("SuperSPARC")
-    compiled = kernel_compiled("SuperSPARC", "andor", 0, False)
-    blocks = kernel_workloads("SuperSPARC")
-    result = benchmark(schedule_workload, machine, compiled, blocks)
-    assert result.total_ops == sum(len(b) for b in blocks)

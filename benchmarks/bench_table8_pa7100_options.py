@@ -2,9 +2,6 @@
 
 from conftest import write_result
 
-from repro.machines import get_machine
-from repro.transforms import remove_dominated_options
-
 
 def test_table8_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.table8())
@@ -12,10 +9,3 @@ def test_table8_regenerate(suite, results_dir, benchmark):
     or_row = rows[0]
     assert or_row[3] <= or_row[1]  # options per attempt drop
     write_result(results_dir, "table8_pa7100_options.txt", text)
-
-
-def test_table8_bench_dominance_pruning(benchmark):
-    """Time dominated-option removal over the PA7100 description."""
-    mdes = get_machine("PA7100").build_andor()
-    result = benchmark(remove_dominated_options, mdes)
-    assert result.op_class("load").option_count() == 2

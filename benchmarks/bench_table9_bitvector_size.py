@@ -2,10 +2,6 @@
 
 from conftest import write_result
 
-from repro.transforms.pipeline import staged_mdes
-from repro.lowlevel.compiled import compile_mdes
-from repro.machines import get_machine
-
 
 def test_table9_regenerate(suite, results_dir, benchmark):
     text = benchmark(lambda: suite.table9())
@@ -20,11 +16,5 @@ def test_table9_regenerate(suite, results_dir, benchmark):
     ][1]
     pa_cut = (rows["PA7100"][1] - rows["PA7100"][2]) / rows["PA7100"][1]
     assert pentium_cut > pa_cut
+    assert suite.compiled("Pentium", "or", 1, True).bitvector
     write_result(results_dir, "table9_bitvector_size.txt", text)
-
-
-def test_table9_bench_bitvector_compile(benchmark):
-    """Time bit-vector compilation of the cleaned Pentium description."""
-    mdes = staged_mdes(get_machine("Pentium").build_or(), 1)
-    compiled = benchmark(compile_mdes, mdes, True)
-    assert compiled.bitvector

@@ -1,89 +1,21 @@
-"""Verification-layer cost: oracle replay and differential fuzz rate.
+"""Verification-layer cost: differential fuzz rate.
 
-The oracle is deliberately naive, so its cost matters only insofar as
-it stays cheap enough to run inline (``BatchConfig(verify=True)``, the
-golden-corpus check in tier-1).  Two measurements:
-
-* **Oracle replay throughput**: ops/second replaying a real scheduled
-  workload on every paper machine, and the oracle:scheduler time
-  ratio (replay should cost the same order as scheduling, not more).
-* **Fuzz case rate**: seeded differential cases/second -- the number
-  that sizes the CI fuzz job's budget.
+Seeded differential cases/second -- the number that sizes the CI fuzz
+job's budget.  Oracle replay cost is measured per layer by the repo
+benchmark (``perfbench/``, ``verify.replay_s``).
 """
 
-import statistics
 import time
 
-from conftest import KERNEL_OPS, write_result
+from conftest import write_result
 
 from repro.analysis.reporting import format_table
-from repro.engine.registry import create_engine
-from repro.machines import MACHINE_NAMES, get_machine
-from repro.scheduler import schedule_workload
-from repro.verify import ScheduleOracle, fuzz
-from repro.workloads import WorkloadConfig, generate_blocks
+from repro.verify import fuzz
 
-STAGE = 4
-REPS = 3
 FUZZ_CASES = 10
 
 
-def _median_seconds(fn, reps=REPS):
-    samples = []
-    for _ in range(reps):
-        started = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - started)
-    return statistics.median(samples)
-
-
 class TestVerifyCost:
-    def test_oracle_replay_throughput(self, results_dir):
-        rows = []
-        payload = {"kernel_ops": KERNEL_OPS, "machines": {}}
-        for machine_name in MACHINE_NAMES:
-            machine = get_machine(machine_name)
-            blocks = generate_blocks(machine, WorkloadConfig(
-                total_ops=KERNEL_OPS, seed=7,
-            ))
-            engine = create_engine("bitvector", machine, stage=STAGE)
-            run = schedule_workload(
-                machine, None, blocks, keep_schedules=True, engine=engine
-            )
-            schedule_s = _median_seconds(lambda: schedule_workload(
-                machine, None, blocks, keep_schedules=True, engine=engine
-            ))
-            oracle = ScheduleOracle(machine)
-            report = oracle.verify(run.schedules)
-            assert report.ok, report.diagnostics
-            oracle_s = _median_seconds(
-                lambda: oracle.verify(run.schedules)
-            )
-            ratio = oracle_s / schedule_s if schedule_s else 0.0
-            rows.append([
-                machine_name,
-                f"{run.total_ops / oracle_s:,.0f}",
-                f"{oracle_s * 1e3:.1f}",
-                f"{ratio:.2f}x",
-            ])
-            payload["machines"][machine_name] = {
-                "ops": run.total_ops,
-                "oracle_seconds": oracle_s,
-                "schedule_seconds": schedule_s,
-                "ratio": ratio,
-            }
-        text = format_table(
-            ["Machine", "replay ops/s", "replay ms", "vs scheduling"],
-            rows,
-            title=(
-                f"Oracle replay cost ({KERNEL_OPS} ops, "
-                "bitvector schedules)"
-            ),
-        )
-        write_result(
-            results_dir, "verify_oracle.txt", text, payload=payload
-        )
-
     def test_fuzz_case_rate(self, results_dir):
         started = time.perf_counter()
         report = fuzz(seed=42, cases=FUZZ_CASES, shrink=True)

@@ -1,10 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the benchmark scripts.
 
 Every benchmark regenerates its paper table/figure from a shared
 :class:`ExperimentSuite` (scale controlled by ``REPRO_BENCH_OPS``,
 default 20000 operations per machine) and writes the artifact to
-``benchmarks/results/``.  The timed kernels run at a smaller scale so
-``pytest benchmarks/ --benchmark-only`` stays fast.
+``benchmarks/results/``.  The few timed kernels left here cover paths
+the repo benchmark (``perfbench/``) does not run; they use a smaller
+scale (``REPRO_KERNEL_OPS``, default 2000) so they stay fast.
 """
 
 import json
@@ -18,21 +19,11 @@ from repro.engine.cache import GLOBAL_CACHE
 from repro.machines import get_machine
 from repro.workloads import WorkloadConfig, generate_blocks
 
-#: Smoke mode (REPRO_BENCH_SMOKE=1): the CI regression gate's reduced
-#: scale.  Explicit REPRO_BENCH_OPS / REPRO_KERNEL_OPS still win.
-_SMOKE = os.environ.get(
-    "REPRO_BENCH_SMOKE", ""
-).strip().lower() in ("1", "true", "yes", "on")
-
 #: Operations per machine for the reported tables.
-BENCH_OPS = int(
-    os.environ.get("REPRO_BENCH_OPS", "4000" if _SMOKE else "20000")
-)
+BENCH_OPS = int(os.environ.get("REPRO_BENCH_OPS", "20000"))
 
 #: Operations per timed kernel round.
-KERNEL_OPS = int(
-    os.environ.get("REPRO_KERNEL_OPS", "800" if _SMOKE else "2000")
-)
+KERNEL_OPS = int(os.environ.get("REPRO_KERNEL_OPS", "2000"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -73,11 +64,7 @@ def write_result(results_dir, name, text, payload=None):
     """Persist one artifact and echo it for ``-s`` runs.
 
     With ``--json`` and a ``payload``, a machine-readable twin is
-    written next to the text artifact as ``BENCH_<stem>.json``, and
-    the payload's numeric fields are normalized into
-    :class:`repro.obs.perf.BenchRecord` rows appended to the shared
-    ``BENCH_history.jsonl`` -- every ad-hoc bench script feeds the
-    same durable perf trajectory as ``repro bench``.
+    written next to the text artifact as ``BENCH_<stem>.json``.
     """
     path = results_dir / name
     path.write_text(text + "\n")
@@ -86,13 +73,6 @@ def write_result(results_dir, name, text, payload=None):
         json_path = results_dir / f"BENCH_{Path(name).stem}.json"
         json_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"[json written to {json_path}]")
-        from repro.obs import perf
-
-        records = perf.records_from_payload(Path(name).stem, payload)
-        if records:
-            perf.append_history(
-                str(results_dir / "BENCH_history.jsonl"), records
-            )
 
 
 @pytest.fixture(scope="session")

@@ -37,34 +37,14 @@ from repro.lowlevel.compiled import CompiledMdes
 from repro.lowlevel.layout import mdes_size_bytes
 from repro.machines import MACHINE_NAMES, get_machine
 from repro.scheduler import RunResult, schedule_workload
-from repro.transforms.pipeline import FINAL_STAGE as _FINAL_STAGE
+from repro.transforms.pipeline import FINAL_STAGE
 from repro.workloads import WorkloadConfig, generate_blocks
 
 __all__ = [
     "ANDOR_REP",
     "ExperimentSuite",
-    "FINAL_STAGE",  # deprecated shim; lives in repro.transforms.pipeline
     "OR_REP",
-    "staged_mdes",  # deprecated shim; lives in repro.transforms.pipeline
 ]
-
-
-def __getattr__(name):
-    # Legacy import site: staged_mdes/FINAL_STAGE moved to
-    # repro.transforms.pipeline (PR 1).  Served through a warning shim
-    # so downstream imports keep working one more cycle before the
-    # aliases are dropped.
-    if name in ("staged_mdes", "FINAL_STAGE"):
-        from repro import _compat
-        from repro.transforms import pipeline
-
-        return _compat.deprecated_reexport(
-            __name__, name, "repro.transforms.pipeline",
-            getattr(pipeline, name),
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 #: Representations compared throughout the paper.
@@ -629,8 +609,8 @@ class ExperimentSuite:
         rows = []
         for name in MACHINE_NAMES:
             unopt = self.size(name, OR_REP, 0, False)
-            or_final = self.size(name, OR_REP, _FINAL_STAGE, True)
-            andor_final = self.size(name, ANDOR_REP, _FINAL_STAGE, True)
+            or_final = self.size(name, OR_REP, FINAL_STAGE, True)
+            andor_final = self.size(name, ANDOR_REP, FINAL_STAGE, True)
             rows.append(
                 (
                     name,
@@ -662,8 +642,8 @@ class ExperimentSuite:
         rows = []
         for name in MACHINE_NAMES:
             unopt = self.run(name, OR_REP, 0, False)
-            or_final = self.run(name, OR_REP, _FINAL_STAGE, True)
-            andor_final = self.run(name, ANDOR_REP, _FINAL_STAGE, True)
+            or_final = self.run(name, OR_REP, FINAL_STAGE, True)
+            andor_final = self.run(name, ANDOR_REP, FINAL_STAGE, True)
             rows.append(
                 (
                     name,

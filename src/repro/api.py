@@ -34,10 +34,8 @@ your problem::
 Every entry point takes one validated request object
 (:class:`ScheduleRequest` / :class:`BatchRequest`) and returns the
 uniform :class:`ScheduleResponse` envelope -- the same vocabulary the
-CLI and the network tier (:mod:`repro.server`) speak.  The pre-redesign
-kwarg signatures (``schedule(machine, blocks, backend=...)``) still
-work but warn once per process with a :class:`DeprecationWarning` and
-return the bare underlying result objects.
+CLI and the network tier (:mod:`repro.server`) speak.  Passing anything
+else as the first argument raises :class:`TypeError`.
 
 The error taxonomy is part of the surface: every exception the library
 raises derives from :class:`ReproError`, service-layer failures from
@@ -47,9 +45,8 @@ raises derives from :class:`ReproError`, service-layer failures from
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from repro._compat import deprecated_call
 from repro.engine.cache import DescriptionCache
 from repro.engine.registry import create_engine, engine_names, get_engine_spec
 from repro.errors import (
@@ -71,7 +68,6 @@ from repro.errors import (
 )
 from repro.engine.shared import SharedDescriptionSpec
 from repro.hmdes import load_mdes
-from repro.ir.block import BasicBlock
 from repro.lowlevel.compiled import CompiledMdes, compile_mdes
 from repro.lowlevel.packed import (
     PACKED_WORD_BUDGET,
@@ -99,15 +95,6 @@ from repro.service import (
     TimeoutPolicy,
 )
 from repro.service import schedule_batch as _service_schedule_batch
-from repro.obs.bench import run_suite as run_bench_suite
-from repro.obs.perf import (
-    BenchRecord,
-    Comparison,
-    compare_records,
-    env_fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.obs.prof import flamegraph, hot_spans, self_seconds
 from repro.machines.synth import (
     family_names as synth_family_names,
@@ -219,51 +206,28 @@ def _maybe_verify(request: ScheduleRequest, schedules):
     )
 
 
+def _require(request, request_type: type, entry: str) -> None:
+    """Reject a first argument that is not the entry point's request."""
+    if not isinstance(request, request_type):
+        raise TypeError(
+            f"{entry}() takes a repro.api.{request_type.__name__}, "
+            f"not {type(request).__name__}"
+        )
+
+
 def schedule(
-    request: Union[ScheduleRequest, str, object],
-    blocks: Optional[Sequence[BasicBlock]] = None,
+    request: ScheduleRequest,
     *,
     cache: Optional[DescriptionCache] = None,
-    backend: Optional[str] = None,
-    stage: Optional[int] = None,
-    direction: Optional[str] = None,
-    keep_schedules: Optional[bool] = None,
-) -> Union[ScheduleResponse, RunResult, ExactRunResult]:
+) -> ScheduleResponse:
     """Schedule one workload in-process.
 
-    The canonical form takes a :class:`ScheduleRequest` and returns the
+    Takes a :class:`ScheduleRequest` and returns the
     :class:`ScheduleResponse` envelope; backends registered with
     ``scheduler="exact"`` dispatch to the branch-and-bound exact
-    scheduler behind the same surface.  The pre-redesign signature
-    (``schedule(machine, blocks, backend=..., ...)``) still works,
-    warns once per process, and returns the bare
-    :class:`RunResult` / :class:`ExactRunResult`.
+    scheduler behind the same surface.
     """
-    if not isinstance(request, ScheduleRequest):
-        deprecated_call(
-            "repro.api", "schedule",
-            "schedule(machine, blocks, ...) is deprecated; pass a "
-            "repro.api.ScheduleRequest instead",
-        )
-        legacy = ScheduleRequest(
-            machine=request,
-            blocks=tuple(blocks or ()),
-            backend=backend,
-            stage=FINAL_STAGE if stage is None else stage,
-            direction=direction or "forward",
-            keep_schedules=(
-                True if keep_schedules is None else keep_schedules
-            ),
-        ).validate()
-        if legacy.is_exact:
-            return _run_exact_request(legacy, cache=cache)
-        return _run_list_request(legacy, cache=cache)
-    if blocks is not None or backend is not None or stage is not None \
-            or direction is not None or keep_schedules is not None:
-        raise TypeError(
-            "schedule(ScheduleRequest) takes no separate "
-            "blocks/backend/stage arguments"
-        )
+    _require(request, ScheduleRequest, "schedule")
     request = request.validate().with_request_id()
     started = time.perf_counter()
     if request.is_exact:
@@ -282,46 +246,21 @@ def schedule(
 
 
 def schedule_exact(
-    request: Union[ScheduleRequest, str, object],
-    blocks: Optional[Sequence[BasicBlock]] = None,
-    backend: Optional[str] = None,
-    stage: Optional[int] = None,
+    request: ScheduleRequest,
+    *,
     budget: Optional[ExactBudget] = None,
     max_block_ops: Optional[int] = None,
-    *,
     cache: Optional[DescriptionCache] = None,
-) -> Union[ScheduleResponse, ExactRunResult]:
+) -> ScheduleResponse:
     """Schedule one workload with the branch-and-bound exact scheduler.
 
-    The canonical form takes a :class:`ScheduleRequest` (its backend
-    must be registered with ``scheduler="exact"``; the default
-    ``None`` resolves to ``"exact"`` here) and returns a
-    :class:`ScheduleResponse` whose ``exact`` block carries the
-    proven-optimality counters behind the optimality-gap benchmark
-    (``benchmarks/bench_optimality.py``).  The pre-redesign signature
-    (``schedule_exact(machine, blocks, ...)``) warns once and returns
-    the bare :class:`ExactRunResult`.
+    The request's backend must be registered with ``scheduler="exact"``
+    (the default ``None`` resolves to ``"exact"`` here).  The
+    response's ``exact`` block carries the proven-optimality counters
+    behind the optimality-gap benchmark
+    (``benchmarks/bench_optimality.py``).
     """
-    if not isinstance(request, ScheduleRequest):
-        deprecated_call(
-            "repro.api", "schedule_exact",
-            "schedule_exact(machine, blocks, ...) is deprecated; pass "
-            "a repro.api.ScheduleRequest instead",
-        )
-        legacy = ScheduleRequest(
-            machine=request,
-            blocks=tuple(blocks or ()),
-            backend=backend or "exact",
-            stage=FINAL_STAGE if stage is None else stage,
-        ).validate()
-        return _run_exact_request(
-            legacy, budget=budget, max_block_ops=max_block_ops, cache=cache
-        )
-    if blocks is not None or backend is not None or stage is not None:
-        raise TypeError(
-            "schedule_exact(ScheduleRequest) takes no separate "
-            "blocks/backend/stage arguments"
-        )
+    _require(request, ScheduleRequest, "schedule_exact")
     if request.backend is None:
         from dataclasses import replace
 
@@ -339,36 +278,19 @@ def schedule_exact(
 
 
 def schedule_batch(
-    request: Union[BatchRequest, str, object],
-    blocks: Optional[Sequence[BasicBlock]] = None,
-    config: Optional[BatchConfig] = None,
+    request: BatchRequest,
     *,
     cache: Optional[DescriptionCache] = None,
-) -> Union[ScheduleResponse, BatchResult]:
+) -> ScheduleResponse:
     """Schedule a workload through the fault-tolerant batch service.
 
-    The canonical form takes a :class:`BatchRequest` and returns the
+    Takes a :class:`BatchRequest` and returns the
     :class:`ScheduleResponse` envelope (resilience and cache summaries
-    included).  The pre-redesign signature
-    (``schedule_batch(machine, blocks, config)``) warns once and
-    returns the bare :class:`BatchResult`; the service-layer entry
-    point :func:`repro.service.schedule_batch` keeps that convention
-    without any warning.
+    included).  The service-layer entry point
+    :func:`repro.service.schedule_batch` returns the bare
+    :class:`BatchResult` instead.
     """
-    if not isinstance(request, BatchRequest):
-        deprecated_call(
-            "repro.api", "schedule_batch",
-            "schedule_batch(machine, blocks, config) is deprecated; "
-            "pass a repro.api.BatchRequest instead",
-        )
-        return _service_schedule_batch(
-            request, list(blocks or ()), config, cache=cache
-        )
-    if blocks is not None or config is not None:
-        raise TypeError(
-            "schedule_batch(BatchRequest) takes no separate "
-            "blocks/config arguments"
-        )
+    _require(request, BatchRequest, "schedule_batch")
     request = request.validate().with_request_id()
     started = time.perf_counter()
     result = _service_schedule_batch(request, cache=cache)
@@ -430,14 +352,7 @@ __all__ = [
     "Diagnostic",
     "VerifyReport",
     "exact_oracle_divergences",
-    # Continuous performance + profiling
-    "BenchRecord",
-    "Comparison",
-    "run_bench_suite",
-    "compare_records",
-    "env_fingerprint",
-    "load_baseline",
-    "write_baseline",
+    # Profiling
     "flamegraph",
     "hot_spans",
     "self_seconds",

@@ -49,12 +49,6 @@ Commands:
   [--memory] [-o FILE]`` -- run one observed workload (or load a saved
   JSONL trace) and print its span tree, a self-time hot-span table, or
   a collapsed-stack flamegraph.
-* ``bench [--suite PAT] [--repeats N] [--smoke] [--check]
-  [--update-baseline] [--json]`` -- run the curated benchmark suite,
-  append normalized records to ``benchmarks/results/BENCH_history.jsonl``,
-  write the repo-root ``BENCH_summary.json``, and (with ``--check``)
-  exit nonzero on a statistically confirmed regression against the
-  pinned ``BENCH_baseline.json``.
 * ``report [--ops N] [-o FILE]`` -- regenerate EXPERIMENTS.md.
 
 ``schedule --json`` / ``schedule-batch --json`` embed the obs digest
@@ -985,118 +979,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from repro.obs import bench as bench_mod
-    from repro.obs import perf
-
-    if args.list:
-        for kernel in bench_mod.KERNELS:
-            print(f"{kernel.name:28s} {kernel.description}")
-            for metric in kernel.metrics():
-                print(f"  {metric}")
-        return 0
-
-    results_dir = os.path.join("benchmarks", "results")
-    baseline_path = args.baseline or os.path.join(
-        results_dir, "BENCH_baseline.json"
-    )
-    history_path = args.history or os.path.join(
-        results_dir, "BENCH_history.jsonl"
-    )
-    summary_path = args.summary or "BENCH_summary.json"
-
-    def progress(name: str) -> None:
-        if not args.json:
-            print(f"bench: {name} ...", file=sys.stderr)
-
-    records, skipped = bench_mod.run_suite(
-        only=args.suite,
-        repeats=args.repeats,
-        smoke=True if args.smoke else None,
-        progress=progress,
-    )
-    if not records:
-        print("bench: no records produced", file=sys.stderr)
-        return 2
-    if not args.no_history:
-        perf.append_history(history_path, records)
-    if args.update_baseline:
-        perf.write_baseline(baseline_path, records)
-    baseline = perf.load_baseline(baseline_path)
-    comparisons = perf.compare_records(records, baseline) if baseline else []
-    summary = perf.write_summary(summary_path, records, comparisons)
-    regressions = perf.regressions(comparisons)
-
-    if args.json:
-        print(json.dumps({
-            "records": [r.to_dict() for r in records],
-            "skipped": [
-                {"kernel": name, "reason": reason}
-                for name, reason in skipped
-            ],
-            "comparisons": [c.to_dict() for c in comparisons],
-            "summary": summary,
-            "baseline": baseline_path if baseline else None,
-            "regressions": len(regressions),
-        }, indent=2))
-    else:
-        if comparisons:
-            print(perf.format_comparisons(comparisons))
-        else:
-            for record in records:
-                print(f"{record.metric:42s} {record.value:.6g} "
-                      f"{record.unit}")
-            print("(no baseline -- pin one with "
-                  "`repro bench --update-baseline`)")
-        for name, reason in skipped:
-            print(f"skipped {name}: {reason}")
-        if not args.no_history:
-            print(f"history: {history_path}")
-        print(f"summary: {summary_path}")
-        if args.update_baseline:
-            print(f"baseline: {baseline_path}")
-
-    if args.check:
-        if not baseline:
-            print(
-                f"bench --check: no baseline at {baseline_path}; pin one "
-                "with `repro bench --update-baseline`",
-                file=sys.stderr,
-            )
-            return 2
-        for comparison in regressions:
-            p_text = (
-                "n/a" if comparison.p_value is None
-                else f"{comparison.p_value:.4f}"
-            )
-            print(
-                f"REGRESSION {comparison.metric}: {comparison.value:.6g} "
-                f"vs baseline {comparison.baseline:.6g} "
-                f"({comparison.delta_pct:+.1f}%, "
-                f"tolerance {comparison.tolerance * 100:.0f}%, "
-                f"p={p_text})",
-                file=sys.stderr,
-            )
-        if regressions:
-            return 1
-        mismatched = [
-            c for c in comparisons if c.status == "scale-mismatch"
-        ]
-        if mismatched:
-            print(
-                f"bench --check: {len(mismatched)} metric(s) skipped -- "
-                "baseline was pinned at a different workload scale "
-                "(smoke vs full); re-pin with `repro bench "
-                "--update-baseline` at this scale",
-                file=sys.stderr,
-            )
-        print("bench --check: ok", file=sys.stderr)
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import main as report_main
 
@@ -1532,57 +1414,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", default=None,
                        help="also write the trace as JSONL")
 
-    bench = commands.add_parser(
-        "bench",
-        help=(
-            "run the curated benchmark suite with normalized records, "
-            "history, and baseline regression gating"
-        ),
-    )
-    bench.add_argument("--list", action="store_true",
-                       help="list kernels and their metrics, then exit")
-    bench.add_argument(
-        "--suite", action="append", default=None, metavar="PAT",
-        help="only kernels whose name contains PAT (repeatable)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed repeats per kernel (default 5; 3 in smoke mode)",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="reduced workloads and repeats (REPRO_BENCH_SMOKE=1)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help=(
-            "compare against the pinned baseline and exit 1 on a "
-            "confirmed regression"
-        ),
-    )
-    bench.add_argument(
-        "--update-baseline", action="store_true",
-        help="pin this run's records as the new baseline",
-    )
-    bench.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline path (default benchmarks/results/BENCH_baseline.json)",
-    )
-    bench.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="history path (default benchmarks/results/BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--summary", default=None, metavar="FILE",
-        help="summary path (default BENCH_summary.json in the cwd)",
-    )
-    bench.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this run to the history file",
-    )
-    bench.add_argument("--json", action="store_true",
-                       help="emit the records/comparisons as JSON")
-
     report = commands.add_parser(
         "report", help="regenerate EXPERIMENTS.md"
     )
@@ -1611,7 +1442,6 @@ _HANDLERS = {
     "fuzz": _cmd_fuzz,
     "stats": _cmd_stats,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "report": _cmd_report,
 }
 

@@ -3,8 +3,8 @@
 Two generators behind one surface:
 
 * :mod:`~repro.machines.synth.grammar` -- the seeded random-description
-  grammar (previously ``repro.verify.generate``); arbitrary legal
-  shapes, the differential fuzzer's case source.
+  grammar; arbitrary legal shapes, the differential fuzzer's case
+  source.
 * :mod:`~repro.machines.synth.families` -- *plausible* parameterized
   families (``vliw-narrow``, ``superscalar-wide``, ``cydra-like``, ...)
   varying issue width, unit counts, latencies, and option-tree shape,

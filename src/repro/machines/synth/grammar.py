@@ -14,10 +14,8 @@ description as HMDES *source text* produced by the writer -- every
 generated machine therefore also exercises the writer -> parser ->
 translator round-trip before a single schedule is attempted.
 
-Historically this code lived in :mod:`repro.verify.generate` as the
-differential fuzzer's case generator; it moved here unchanged (same
-draw order, bit-identical streams) when synthetic machines became a
-first-class citizen.  The structured *family* presets layered on top
+The differential fuzzer (:mod:`repro.verify.fuzz`) draws its cases
+from this grammar.  The structured *family* presets layered on top
 live in :mod:`repro.machines.synth.families`.
 """
 

@@ -22,27 +22,10 @@ from repro.lowlevel.compiled import CompiledMdes
 from repro.modulo.loop import Loop, LoopEdge
 
 __all__ = [
-    "ModuloRUMap",  # deprecated shim; lives in repro.lowlevel.bitvector
     "ModuloSchedule",
     "minimum_initiation_interval",
     "modulo_schedule",
 ]
-
-
-def __getattr__(name):
-    # Legacy import site: ModuloRUMap moved to repro.lowlevel.bitvector
-    # (PR 1).  Served through a warning shim so downstream imports keep
-    # working one more cycle before the alias is dropped.
-    if name == "ModuloRUMap":
-        from repro._compat import deprecated_reexport
-        from repro.lowlevel.bitvector import ModuloRUMap
-
-        return deprecated_reexport(
-            __name__, name, "repro.lowlevel.bitvector", ModuloRUMap
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 @dataclass

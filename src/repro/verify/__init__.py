@@ -7,10 +7,10 @@ Three instruments, all judging the optimized pipeline from outside it:
   a deliberately naive interpreter that shares no code with the
   engines it checks;
 * the **differential fuzzer** (:mod:`repro.verify.fuzz`,
-  :mod:`repro.verify.generate`, :mod:`repro.verify.differential`,
-  :mod:`repro.verify.shrink`): seeded random descriptions scheduled
-  through every backend and every transform stage, disagreements
-  shrunk to minimal HMDES reproducers;
+  :mod:`repro.verify.differential`, :mod:`repro.verify.shrink`):
+  seeded random descriptions from :mod:`repro.machines.synth.grammar`
+  scheduled through every backend and every transform stage,
+  disagreements shrunk to minimal HMDES reproducers;
 * the **golden corpus** (:mod:`repro.verify.golden`): pinned schedule
   digests for the four paper machines across every backend, checked in
   under ``tests/golden/``.
@@ -20,6 +20,7 @@ Entry points: :func:`verify_schedule` (also re-exported from
 commands.
 """
 
+from repro.machines.synth.grammar import DEFAULT_GRAMMAR, FuzzGrammar
 from repro.verify.differential import (
     DEFAULT_STAGES,
     Divergence,
@@ -35,7 +36,6 @@ from repro.verify.fuzz import (
     generate_case,
     run_case,
 )
-from repro.verify.generate import DEFAULT_GRAMMAR, FuzzGrammar
 from repro.verify.golden import (
     CORPUS_SEED,
     CORPUS_STAGE,

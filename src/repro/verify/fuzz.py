@@ -22,17 +22,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.mdes import Mdes
 from repro.ir.block import BasicBlock
 from repro.machines.base import Machine
+from repro.machines.synth.grammar import (
+    DEFAULT_GRAMMAR,
+    FuzzGrammar,
+    build_machine,
+    generate_mdes,
+)
 from repro.verify.differential import (
     DEFAULT_STAGES,
     Divergence,
     differential_runs,
     verify_transform_stages,
-)
-from repro.verify.generate import (
-    DEFAULT_GRAMMAR,
-    FuzzGrammar,
-    build_machine,
-    generate_mdes,
 )
 from repro.verify.shrink import case_size, shrink_case
 from repro.workloads.generator import WorkloadConfig, generate_blocks

@@ -41,7 +41,7 @@ MAX_SHRINK_ATTEMPTS = 600
 def _rebuild_case(case, mdes: Mdes, blocks: List[BasicBlock]):
     """A new FuzzCase around a mutated description/workload pair."""
     from repro.verify.fuzz import FuzzCase
-    from repro.verify.generate import build_machine
+    from repro.machines.synth.grammar import build_machine
 
     used = {op.opcode for block in blocks for op in block}
     profile = tuple(

@@ -1,21 +1,13 @@
-"""The ``repro.api`` facade contract and the deprecation shims.
+"""The ``repro.api`` facade contract.
 
-Satellite of the api_redesign PR: ``repro.api`` is the supported public
-surface -- everything in its ``__all__`` must import, the convenience
-entry points must agree bit-for-bit with the deep-path equivalents they
-wrap, and the legacy deep-path names (``ModuloRUMap`` from the modulo
-scheduler, ``staged_mdes``/``FINAL_STAGE`` from the experiments module)
-must keep working behind a :class:`DeprecationWarning` that fires
-exactly once per name.
+``repro.api`` is the supported public surface: everything in its
+``__all__`` must import, and the convenience entry points must agree
+bit-for-bit with the deep-path equivalents they wrap.
 """
-
-import importlib
-import warnings
 
 import pytest
 
 from repro import api
-from repro._compat import reset_deprecation_warnings
 from repro.engine import create_engine
 from repro.errors import (
     CacheCorruptionError,
@@ -126,6 +118,15 @@ class TestFacadeSurface:
                 config=api.BatchConfig(),
             )
 
+    def test_entry_points_reject_a_non_request_first_argument(self):
+        for entry, request_type in (
+            (api.schedule, "ScheduleRequest"),
+            (api.schedule_exact, "ScheduleRequest"),
+            (api.schedule_batch, "BatchRequest"),
+        ):
+            with pytest.raises(TypeError, match=request_type):
+                entry(MACHINE)
+
     def test_schedule_request_validation_is_typed(self):
         from repro.errors import RequestError
 
@@ -153,126 +154,6 @@ class TestFacadeSurface:
         assert response.errors == []
         assert response.resilience is not None
         assert response.cache is not None
-        # The service-layer entry point keeps the bare-result
-        # convention without any deprecation warning.
+        # The service-layer entry point returns the bare result.
         bare = schedule_batch(get_machine(MACHINE), blocks, config)
         assert response.signature() == bare.signature()
-
-
-class TestDeprecationShims:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_state(self):
-        reset_deprecation_warnings()
-        yield
-        reset_deprecation_warnings()
-
-    def _import_warns_once(self, module_name, attr, canonical_module):
-        module = importlib.import_module(module_name)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = getattr(module, attr)
-            second = getattr(module, attr)
-        canonical = getattr(
-            importlib.import_module(canonical_module), attr
-        )
-        assert first is canonical and second is canonical
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1, (
-            f"{module_name}.{attr} warned {len(deprecations)} times"
-        )
-        message = str(deprecations[0].message)
-        assert attr in message and canonical_module in message
-
-    def test_modulo_rumap_shim_warns_exactly_once(self):
-        self._import_warns_once(
-            "repro.modulo.scheduler", "ModuloRUMap",
-            "repro.lowlevel.bitvector",
-        )
-
-    def test_staged_mdes_shim_warns_exactly_once(self):
-        self._import_warns_once(
-            "repro.analysis.experiments", "staged_mdes",
-            "repro.transforms.pipeline",
-        )
-
-    def test_final_stage_shim_warns_exactly_once(self):
-        self._import_warns_once(
-            "repro.analysis.experiments", "FINAL_STAGE",
-            "repro.transforms.pipeline",
-        )
-
-    def test_canonical_imports_do_not_warn(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.lowlevel.bitvector import ModuloRUMap  # noqa: F401
-            from repro.modulo import ModuloRUMap as from_pkg  # noqa: F401
-            from repro.transforms.pipeline import (  # noqa: F401
-                FINAL_STAGE,
-                staged_mdes,
-            )
-        assert caught == []
-
-    def _call_warns_once(self, invoke):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = invoke()
-            invoke()
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1, (
-            f"legacy call warned {len(deprecations)} times"
-        )
-        return first, str(deprecations[0].message)
-
-    def test_legacy_schedule_signature_warns_once(self):
-        _, blocks = workload(ops=40)
-        run, message = self._call_warns_once(
-            lambda: api.schedule(MACHINE, blocks, backend="bitvector",
-                                 stage=STAGE)
-        )
-        assert "ScheduleRequest" in message
-        # Legacy calls return the bare result, not the envelope.
-        assert not isinstance(run, api.ScheduleResponse)
-        assert run.total_ops == sum(len(b) for b in blocks)
-
-    def test_legacy_schedule_exact_signature_warns_once(self):
-        _, blocks = workload(ops=30)
-        run, message = self._call_warns_once(
-            lambda: api.schedule_exact(MACHINE, blocks, stage=STAGE)
-        )
-        assert "ScheduleRequest" in message
-        assert not isinstance(run, api.ScheduleResponse)
-        assert run.total_cycles <= run.heuristic_cycles
-
-    def test_legacy_schedule_batch_signature_warns_once(self):
-        _, blocks = workload(ops=40)
-        config = api.BatchConfig(workers=1, chunk_size=8, stage=STAGE)
-        result, message = self._call_warns_once(
-            lambda: api.schedule_batch(MACHINE, blocks, config)
-        )
-        assert "BatchRequest" in message
-        assert not isinstance(result, api.ScheduleResponse)
-        assert result.total_ops == sum(len(b) for b in blocks)
-
-    def test_request_style_calls_do_not_warn(self):
-        _, blocks = workload(ops=30)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("error", DeprecationWarning)
-            api.schedule(api.ScheduleRequest(
-                machine=MACHINE, blocks=tuple(blocks), stage=STAGE,
-            ))
-        assert caught == []
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.analysis.experiments as experiments
-        import repro.modulo.scheduler as scheduler
-
-        with pytest.raises(AttributeError):
-            scheduler.no_such_name
-        with pytest.raises(AttributeError):
-            experiments.no_such_name

@@ -556,116 +556,9 @@ class TestTraceProfiling:
         assert "p95" in out
 
 
-class TestBenchCli:
-    """``repro bench``: records, history, baseline, regression gate."""
-
-    @pytest.fixture(autouse=True)
-    def restore_obs(self):
-        from repro import obs
-
-        was_enabled = obs.enabled()
-        was_memory = obs.memory_enabled()
-        yield
-        obs.enable() if was_enabled else obs.disable()
-        obs.enable_memory() if was_memory else obs.disable_memory()
-        obs.reset()
-
-    def _paths(self, tmp_path):
-        return [
-            "--baseline", str(tmp_path / "base.json"),
-            "--history", str(tmp_path / "hist.jsonl"),
-            "--summary", str(tmp_path / "summary.json"),
-        ]
-
-    def test_bench_list_names_kernels_and_metrics(self, run_cli):
-        code, out, _ = run_cli("bench", "--list")
-        assert code == 0
-        assert "compile.pa7100" in out
-        assert "compile.pa7100.seconds" in out
-        assert "exact.pentium" in out
-
-    def test_bench_run_without_baseline(self, run_cli, tmp_path):
-        import json
-
-        code, out, _ = run_cli(
-            "bench", "--smoke", "--repeats", "2",
-            "--suite", "compile", *self._paths(tmp_path),
-        )
-        assert code == 0
-        assert "no baseline" in out
-        assert (tmp_path / "hist.jsonl").exists()
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        entry = summary["metrics"]["compile.pa7100.seconds"]
-        assert entry["value"] > 0
-        # No baseline yet, so there is no comparison status.
-        assert "status" not in entry
-        assert not (tmp_path / "base.json").exists()
-
-    def test_bench_check_without_baseline_exits_2(self, run_cli, tmp_path):
-        code, _, err = run_cli(
-            "bench", "--smoke", "--repeats", "2", "--check",
-            "--suite", "compile", *self._paths(tmp_path),
-        )
-        assert code == 2
-        assert "no baseline" in err
-
-    def test_bench_acceptance_gate(self, run_cli, tmp_path, monkeypatch):
-        """Pin a baseline, pass a clean --check, fail an injected one."""
-        import json
-
-        paths = self._paths(tmp_path)
-        code, _, _ = run_cli(
-            "bench", "--smoke", "--repeats", "3", "--update-baseline",
-            "--suite", "compile", *paths,
-        )
-        assert code == 0
-        assert (tmp_path / "base.json").exists()
-
-        # Clean re-run against the pinned baseline must pass.
-        code, _, err = run_cli(
-            "bench", "--smoke", "--repeats", "3", "--check",
-            "--suite", "compile", *paths,
-        )
-        assert code == 0
-        assert "bench --check: ok" in err
-
-        # An injected slowdown must be confirmed and fail the gate.
-        monkeypatch.setenv("REPRO_BENCH_INJECT", "compile=0.2")
-        code, _, err = run_cli(
-            "bench", "--smoke", "--repeats", "3", "--check",
-            "--suite", "compile", *paths,
-        )
-        assert code == 1
-        assert "REGRESSION compile.pa7100.seconds" in err
-
-        history = [
-            json.loads(line)
-            for line in (tmp_path / "hist.jsonl").read_text().splitlines()
-        ]
-        # Three runs appended to the same history file.
-        runs = {rec["timestamp"] for rec in history}
-        assert len(history) >= 3 and len(runs) == 3
-
-    def test_bench_json_document(self, run_cli, tmp_path):
-        import json
-
-        code, out, _ = run_cli(
-            "bench", "--smoke", "--repeats", "2", "--json",
-            "--suite", "compile", *self._paths(tmp_path),
-        )
-        assert code == 0
-        document = json.loads(out)
-        metrics = [r["metric"] for r in document["records"]]
-        assert "compile.pa7100.seconds" in metrics
-        assert document["regressions"] == 0
-        assert document["summary"]["metrics"]
-        for record in document["records"]:
-            assert record["repeats"] == 2
-            assert "git_sha" in record["env"]
-
-    def test_bench_unknown_suite_pattern_errors(self, run_cli, tmp_path):
-        with pytest.raises(ValueError):
-            run_cli(
-                "bench", "--suite", "definitely-missing",
-                *self._paths(tmp_path),
-            )
+class TestUnknownCommand:
+    def test_bench_is_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

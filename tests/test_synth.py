@@ -198,15 +198,6 @@ class TestScheduling:
 
 
 class TestFuzzCompat:
-    def test_generate_shim_reexports_grammar(self):
-        from repro.machines.synth import grammar
-        from repro.verify import generate
-
-        assert generate.FuzzGrammar is grammar.FuzzGrammar
-        assert generate.DEFAULT_GRAMMAR is grammar.DEFAULT_GRAMMAR
-        assert generate.generate_mdes is grammar.generate_mdes
-        assert generate.build_machine is grammar.build_machine
-
     def test_fuzz_case_generation_unchanged(self):
         """The move to repro.machines.synth.grammar preserved draw
         order: the fuzzer's seeded cases are bit-identical."""
