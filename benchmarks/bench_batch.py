@@ -40,13 +40,12 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _timed_batch(blocks, workers, cache_dir, shared=True):
+def _timed_batch(blocks, workers, cache_dir):
     config = BatchConfig(
         backend="bitvector",
         workers=workers,
         chunk_size=CHUNK_SIZE,
         cache_dir=cache_dir,
-        shared_descriptions=shared,
     )
     started = time.perf_counter()
     result = schedule_batch("SuperSPARC", blocks, config)
@@ -93,22 +92,15 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
         parallel_s, parallel = _timed_batch(
             blocks, PARALLEL_WORKERS, cache_dir
         )
-        unshared_s, unshared = _timed_batch(
-            blocks, PARALLEL_WORKERS, cache_dir, shared=False
-        )
-        return serial_s, serial, parallel_s, parallel, unshared_s, unshared
+        return serial_s, serial, parallel_s, parallel
 
-    serial_s, serial, parallel_s, parallel, unshared_s, unshared = (
-        benchmark.pedantic(run_all, rounds=1, iterations=1)
+    serial_s, serial, parallel_s, parallel = benchmark.pedantic(
+        run_all, rounds=1, iterations=1
     )
     # The timed runs themselves must satisfy the differential invariant.
     assert parallel.signature() == serial.signature()
     assert parallel.stats == serial.stats
     assert parallel.total_ops == serial.total_ops >= BENCH_OPS
-    assert unshared.signature() == serial.signature()
-    assert unshared.stats == serial.stats
-    assert parallel.shared_descriptions
-    assert not unshared.shared_descriptions
 
     cold_s, warm_s = _median_load_times(tmp_path)
     cpus = _usable_cpus()
@@ -129,12 +121,8 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
             ("parallel speedup", f"{speedup:.2f}x"),
             ("speedup meaningful", str(speedup_meaningful)),
             (
-                "chunk setup seconds (shared)",
+                f"{PARALLEL_WORKERS}-worker chunk setup seconds",
                 f"{parallel.chunk_setup_seconds:.4f}",
-            ),
-            (
-                "chunk setup seconds (unshared)",
-                f"{unshared.chunk_setup_seconds:.4f}",
             ),
             ("cold compile seconds (median)", f"{cold_s:.4f}"),
             ("warm disk-load seconds (median)", f"{warm_s:.4f}"),
@@ -153,10 +141,7 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
         "parallel_seconds": parallel_s,
         "parallel_speedup": speedup,
         "speedup_meaningful": speedup_meaningful,
-        "unshared_parallel_seconds": unshared_s,
-        "shared_descriptions": True,
-        "chunk_setup_seconds_shared": parallel.chunk_setup_seconds,
-        "chunk_setup_seconds_unshared": unshared.chunk_setup_seconds,
+        "chunk_setup_seconds": parallel.chunk_setup_seconds,
         "cold_compile_seconds": cold_s,
         "warm_load_seconds": warm_s,
         "warm_load_speedup": warm_speedup,

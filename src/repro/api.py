@@ -66,7 +66,6 @@ from repro.errors import (
     VerificationError,
     WorkerCrashError,
 )
-from repro.engine.shared import SharedDescriptionSpec
 from repro.hmdes import load_mdes
 from repro.lowlevel.compiled import CompiledMdes, compile_mdes
 from repro.lowlevel.packed import (
@@ -318,7 +317,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "FINAL_STAGE",
     "PACKED_WORD_BUDGET",
-    "SharedDescriptionSpec",
     "engine_names",
     "numpy_available",
     "packing_eligible",

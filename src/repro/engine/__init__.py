@@ -37,7 +37,6 @@ from repro.engine.registry import (
     get_engine_spec,
     register_engine,
 )
-from repro.engine.shared import SharedDescriptionSpec
 
 __all__ = [
     "AutomatonEngine",
@@ -49,7 +48,6 @@ __all__ = [
     "GLOBAL_CACHE",
     "QueryEngine",
     "Reservation",
-    "SharedDescriptionSpec",
     "TableEngine",
     "create_engine",
     "description_digest",

@@ -276,12 +276,13 @@ class DescriptionCache:
     ) -> None:
         """Insert a compiled description under its exact lookup key.
 
-        Used by pool workers to pre-populate the cache with a
-        description attached from a shared-memory segment, so the first
-        :meth:`compiled` call memory-hits instead of re-deserializing
-        the LMDES artifact.  Seeding is a plain insertion: it touches no
-        hit/miss counters and emits no spans, which keeps worker trace
-        trees identical to unseeded runs.
+        Used by pool workers to pre-populate the cache with the
+        description the parent compiled and passed through the pool
+        initializer, so the first :meth:`compiled` call memory-hits
+        instead of loading the LMDES artifact or recompiling.  Seeding
+        is a plain insertion: it touches no hit/miss counters and emits
+        no spans, which keeps worker trace trees identical to unseeded
+        runs.
         """
         key = ("lmdes", machine_name, token, rep, stage, bitvector, reduce)
         self._entries[key] = compiled

@@ -277,64 +277,6 @@ class DiskDescriptionCache:
         return path
 
     # ------------------------------------------------------------------
-    # Packed sidecars (zero-copy attach format)
-    # ------------------------------------------------------------------
-
-    def packed_path_for(self, machine_name: str, digest: str) -> Path:
-        """Where one configuration's packed binary sidecar lives.
-
-        Same content-hashed naming scheme as the LMDES artifact, with a
-        ``.packed.bin`` suffix; the payload is the shared wire format of
-        :mod:`repro.lowlevel.packed`, so a worker can map it read-only
-        instead of parsing JSON.
-        """
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", machine_name) or "mdes"
-        return self.directory / f"{safe}-{digest[:32]}.packed.bin"
-
-    def store_packed(
-        self, machine_name: str, digest: str, blob: bytes
-    ) -> Optional[Path]:
-        """Atomically publish a packed sidecar (best effort)."""
-        path = self.packed_path_for(machine_name, digest)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            return None
-        return path
-
-    def load_packed(self, machine_name: str, digest: str) -> Optional[bytes]:
-        """Read a packed sidecar's bytes; ``None`` on miss or damage.
-
-        A sidecar with a wrong magic prefix is quarantined like a
-        corrupt LMDES entry; callers always have the JSON artifact (or a
-        rebuild) to fall back to.
-        """
-        from repro.lowlevel.packed import SHARED_MAGIC
-
-        path = self.packed_path_for(machine_name, digest)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        if not blob.startswith(SHARED_MAGIC):
-            logger.warning(
-                "quarantining corrupt packed sidecar %s for machine %s",
-                path, machine_name,
-            )
-            self._quarantine(path)
-            return None
-        return blob
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 

@@ -12,8 +12,7 @@ This subpackage is the "efficient use" half of the paper's two-tier model:
 * :mod:`~repro.lowlevel.layout` -- the byte-level size model used for the
   memory-requirement tables.
 * :mod:`~repro.lowlevel.packed` -- numpy-packed array mirrors of the
-  compiled form (vectorized batch probes) and the shared wire format
-  zero-copy description sharing attaches to.
+  compiled form and the RU map, for vectorized batch probes.
 """
 
 from repro.lowlevel.bitvector import ModuloRUMap, RUMap
@@ -31,8 +30,6 @@ from repro.lowlevel.packed import (
     ModuloPackedRUMap,
     PackedMdes,
     PackedRUMap,
-    compiled_from_shared_buffer,
-    compiled_to_shared_bytes,
     numpy_available,
     pack_mdes,
     packed_layout,
@@ -56,8 +53,6 @@ __all__ = [
     "PackedRUMap",
     "RUMap",
     "compile_mdes",
-    "compiled_from_shared_buffer",
-    "compiled_to_shared_bytes",
     "mdes_size_bytes",
     "numpy_available",
     "pack_mdes",

@@ -27,18 +27,10 @@ A description is *eligible* for packing when its resource count fits the
 :data:`PACKED_WORD_BUDGET` (wider machines silently keep the dict/int
 fallback) and numpy is importable; everything here degrades to the
 scalar path when it is not.
-
-The module also defines the zero-copy wire format
-(:func:`compiled_to_shared_bytes` / :func:`compiled_from_shared_buffer`)
-the batch service uses to publish a compiled description to pool workers
-through one shared-memory segment instead of per-worker LMDES
-re-deserialization.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # numpy is a hard dependency of the fast path only.
@@ -46,8 +38,6 @@ try:  # numpy is a hard dependency of the fast path only.
 except ImportError:  # pragma: no cover - exercised via the gating tests
     np = None
 
-from repro.core.mdes import Bypass, Mdes, OperationClass
-from repro.core.resource import ResourceTable
 from repro.errors import SchedulingError
 from repro.lowlevel.bitvector import ModuloRUMap, RUMap
 from repro.lowlevel.compiled import (
@@ -65,10 +55,6 @@ PACKED_WORD_BUDGET = 4
 
 #: Attribute name used to cache the packed layout on a CompiledMdes.
 _LAYOUT_ATTR = "_packed_layout"
-
-#: Magic prefix of the shared-memory wire format (16 bytes, so the
-#: 8-byte length word that follows keeps array sections 8-aligned).
-SHARED_MAGIC = b"RPRO-PACKED-v01\x00"
 
 _WORD = 0xFFFFFFFFFFFFFFFF
 
@@ -555,354 +541,13 @@ def reservation_pairs(constraint: PackedConstraint, chosen_row,
     return tuple(pairs)
 
 
-# ----------------------------------------------------------------------
-# Zero-copy shared wire format
-# ----------------------------------------------------------------------
-#
-# Layout:  SHARED_MAGIC | u64 header_len | header JSON | array sections.
-# The header carries everything needed to rebuild a CompiledMdes without
-# touching load_lmdes (no big JSON parse, no Mdes.validate, no
-# compile_mdes): resource names, class metadata, constraint wiring by
-# index, and a manifest of (dtype, shape, offset) per array section.
-# Array sections are 8-byte aligned so attaching processes can map them
-# with np.frombuffer directly -- that view into the shared segment is
-# the zero-copy part.
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-def _collect_compiled(compiled: CompiledMdes):
-    """Unique options / or-trees / andor-trees by identity, indexed."""
-    options: List[CompiledOption] = []
-    or_trees: List[CompiledOrTree] = []
-    andor_trees: List[CompiledAndOrTree] = []
-    opt_ids: Dict[int, int] = {}
-    or_ids: Dict[int, int] = {}
-    andor_ids: Dict[int, int] = {}
-
-    def visit_or(tree: CompiledOrTree) -> int:
-        key = id(tree)
-        if key not in or_ids:
-            for option in tree.options:
-                if id(option) not in opt_ids:
-                    opt_ids[id(option)] = len(options)
-                    options.append(option)
-            or_ids[key] = len(or_trees)
-            or_trees.append(tree)
-        return or_ids[key]
-
-    def visit(constraint: CompiledConstraint) -> Tuple[str, int]:
-        if isinstance(constraint, CompiledAndOrTree):
-            key = id(constraint)
-            if key not in andor_ids:
-                for tree in constraint.or_trees:
-                    visit_or(tree)
-                andor_ids[key] = len(andor_trees)
-                andor_trees.append(constraint)
-            return ("andor", andor_ids[key])
-        return ("or", visit_or(constraint))
-
-    wiring = {
-        name: visit(constraint)
-        for name, constraint in compiled.constraints.items()
-    }
-    unused_wiring = {
-        name: visit(constraint)
-        for name, constraint in compiled.unused.items()
-    }
-    return options, or_trees, andor_trees, opt_ids, or_ids, wiring, \
-        unused_wiring
-
-
-def compiled_to_shared_bytes(compiled: CompiledMdes) -> bytes:
-    """Serialize a compiled description into the shared wire format."""
-    if np is None:
-        raise SchedulingError("shared description format requires numpy")
-    source = compiled.source
-    words = word_count_for(len(source.resources))
-    (options, or_trees, andor_trees, opt_ids, or_ids, wiring,
-     unused_wiring) = _collect_compiled(compiled)
-
-    def csr(pair_lists):
-        """Flatten lists of (time, mask) pairs into CSR arrays."""
-        offsets = np.zeros(len(pair_lists) + 1, dtype=np.int64)
-        total = 0
-        for i, pairs in enumerate(pair_lists):
-            total += len(pairs)
-            offsets[i + 1] = total
-        times = np.zeros(total, dtype=np.int64)
-        masks = np.zeros((total, words), dtype=np.uint64)
-        pos = 0
-        for pairs in pair_lists:
-            for time, mask in pairs:
-                times[pos] = time
-                for w, limb in enumerate(split_mask(mask, words)):
-                    masks[pos, w] = limb
-                pos += 1
-        return offsets, times, masks
-
-    check_offsets, check_times, check_masks = csr(
-        [o.checks for o in options]
-    )
-    res_offsets, res_times, res_masks = csr(
-        [o.reserve_mask_by_time for o in options]
-    )
-
-    def membership(parents, child_index):
-        offsets = np.zeros(len(parents) + 1, dtype=np.int64)
-        members: List[int] = []
-        for i, children in enumerate(parents):
-            members.extend(child_index[id(child)] for child in children)
-            offsets[i + 1] = len(members)
-        return offsets, np.asarray(members, dtype=np.int64)
-
-    or_offsets, or_members = membership(
-        [t.options for t in or_trees], opt_ids
-    )
-    andor_offsets, andor_members = membership(
-        [t.or_trees for t in andor_trees], or_ids
-    )
-
-    # The per-tree rectangular tables the vectorized checker reads are
-    # shipped verbatim, so attaching processes get them as views into
-    # the segment -- the actual zero-copy hot path.
-    tree_arrays = {}
-    for t, tree in enumerate(or_trees):
-        rect = pack_or_tree(tree, words)
-        tree_arrays[f"tree{t}_times"] = rect.times
-        tree_arrays[f"tree{t}_masks"] = rect.masks
-        tree_arrays[f"tree{t}_kcounts"] = rect.kcounts
-
-    arrays = {
-        "check_offsets": check_offsets,
-        "check_times": check_times,
-        "check_masks": check_masks,
-        "res_offsets": res_offsets,
-        "res_times": res_times,
-        "res_masks": res_masks,
-        "or_offsets": or_offsets,
-        "or_members": or_members,
-        "andor_offsets": andor_offsets,
-        "andor_members": andor_members,
-        **tree_arrays,
-    }
-
-    classes = {
-        name: {
-            "latency": oc.latency,
-            "read_time": oc.read_time,
-        }
-        for name, oc in source.op_classes.items()
-    }
-    bypasses = [
-        [producer, consumer, bypass.latency, bypass.substitute_class]
-        for (producer, consumer), bypass in source.bypasses.items()
-    ]
-
-    header = {
-        "machine": source.name,
-        "bitvector": compiled.bitvector,
-        "word_count": words,
-        "resources": source.resources.names,
-        "opcode_map": source.opcode_map,
-        "classes": classes,
-        "bypasses": bypasses,
-        "constraints": wiring,
-        "unused": unused_wiring,
-        "manifest": [],  # filled below
-    }
-
-    # Lay the sections out after a provisional header to learn offsets;
-    # the header length is padded so section offsets are stable.
-    manifest = []
-    cursor = 0
-    blobs = []
-    for name, array in arrays.items():
-        data = np.ascontiguousarray(array).tobytes()
-        manifest.append({
-            "name": name,
-            "dtype": str(array.dtype),
-            "shape": list(array.shape),
-            "offset": cursor,
-            "length": len(data),
-        })
-        blobs.append(data)
-        cursor = _align8(cursor + len(data))
-    header["manifest"] = manifest
-
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    header_bytes += b" " * (_align8(len(header_bytes)) - len(header_bytes))
-    prefix = SHARED_MAGIC + struct.pack("<Q", len(header_bytes))
-
-    out = bytearray(prefix + header_bytes)
-    base = len(out)
-    for entry, data in zip(manifest, blobs):
-        want = base + entry["offset"]
-        out.extend(b"\x00" * (want - len(out)))
-        out.extend(data)
-    return bytes(out)
-
-
-def compiled_from_shared_buffer(buffer) -> CompiledMdes:
-    """Rebuild a CompiledMdes (plus packed layout) from the wire format.
-
-    ``buffer`` is any buffer-protocol object -- typically the ``buf`` of
-    an attached shared-memory segment or an mmap.  The numpy arrays of
-    the attached packed layout are *views into that buffer*; the caller
-    must keep the segment mapped for the description's lifetime.
-
-    The reconstructed ``source`` Mdes carries real resources, classes,
-    opcode map, and bypasses, but class constraints are ``None``: the
-    high-level trees are never consulted on the scheduling path (the
-    scheduler works from the registry machine and the compiled
-    constraints), and skipping them is what makes attach cheap.
-    """
-    if np is None:
-        raise SchedulingError("shared description format requires numpy")
-    view = memoryview(buffer)
-    magic = bytes(view[: len(SHARED_MAGIC)])
-    if magic != SHARED_MAGIC:
-        raise ValueError("not a packed shared description buffer")
-    header_len = struct.unpack_from("<Q", view, len(SHARED_MAGIC))[0]
-    header_start = len(SHARED_MAGIC) + 8
-    header = json.loads(
-        bytes(view[header_start : header_start + header_len]).decode("utf-8")
-    )
-    base = header_start + header_len
-
-    arrays = {}
-    for entry in header["manifest"]:
-        start = base + entry["offset"]
-        arrays[entry["name"]] = np.frombuffer(
-            view, dtype=np.dtype(entry["dtype"]),
-            count=int(np.prod(entry["shape"], dtype=np.int64))
-            if entry["shape"] else 1,
-            offset=start,
-        ).reshape(entry["shape"])
-
-    words = header["word_count"]
-
-    def pairs_for(index: int, offsets, times, masks):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
-        return tuple(
-            (int(times[i]), join_words(masks[i]))
-            for i in range(lo, hi)
-        )
-
-    n_options = len(arrays["check_offsets"]) - 1
-    options = [
-        CompiledOption(
-            checks=pairs_for(i, arrays["check_offsets"],
-                             arrays["check_times"], arrays["check_masks"]),
-            reserve_mask_by_time=pairs_for(
-                i, arrays["res_offsets"], arrays["res_times"],
-                arrays["res_masks"]),
-        )
-        for i in range(n_options)
-    ]
-
-    or_offsets, or_members = arrays["or_offsets"], arrays["or_members"]
-    or_trees = [
-        CompiledOrTree(options=tuple(
-            options[int(or_members[i])]
-            for i in range(int(or_offsets[t]), int(or_offsets[t + 1]))
-        ))
-        for t in range(len(or_offsets) - 1)
-    ]
-    ao_offsets, ao_members = (arrays["andor_offsets"],
-                              arrays["andor_members"])
-    andor_trees = [
-        CompiledAndOrTree(or_trees=tuple(
-            or_trees[int(ao_members[i])]
-            for i in range(int(ao_offsets[t]), int(ao_offsets[t + 1]))
-        ))
-        for t in range(len(ao_offsets) - 1)
-    ]
-
-    def wire(ref) -> CompiledConstraint:
-        kind, index = ref
-        return (andor_trees if kind == "andor" else or_trees)[index]
-
-    constraints = {
-        name: wire(ref) for name, ref in header["constraints"].items()
-    }
-    unused = {name: wire(ref) for name, ref in header["unused"].items()}
-
-    resources = ResourceTable()
-    resources.declare_many(header["resources"])
-    op_classes = {
-        name: OperationClass(
-            name=name, constraint=None,
-            latency=meta["latency"], read_time=meta["read_time"],
-        )
-        for name, meta in header["classes"].items()
-    }
-    bypasses = {
-        (producer, consumer): Bypass(latency=latency,
-                                     substitute_class=substitute)
-        for producer, consumer, latency, substitute in header["bypasses"]
-    }
-    source = Mdes(
-        name=header["machine"],
-        resources=resources,
-        op_classes=op_classes,
-        opcode_map=dict(header["opcode_map"]),
-        bypasses=bypasses,
-    )
-    compiled = CompiledMdes(
-        source=source,
-        bitvector=header["bitvector"],
-        constraints=constraints,
-        unused=unused,
-    )
-
-    # Attach the packed layout over the buffer views directly: the
-    # rectangular per-tree tables the vectorized checker reads never
-    # leave the shared segment.
-    packed_trees = [
-        PackedOrTree(
-            arrays[f"tree{t}_times"],
-            arrays[f"tree{t}_masks"],
-            arrays[f"tree{t}_kcounts"],
-            or_trees[t].options,
-        )
-        for t in range(len(or_trees))
-    ]
-    tree_index = {id(tree): t for t, tree in enumerate(or_trees)}
-
-    def packed_for(ref) -> PackedConstraint:
-        kind, index = ref
-        if kind == "andor":
-            return PackedConstraint(tuple(
-                packed_trees[tree_index[id(tree)]]
-                for tree in andor_trees[index].or_trees
-            ))
-        return PackedConstraint((packed_trees[index],))
-
-    layout = (
-        PackedMdes(words, {
-            name: packed_for(ref)
-            for name, ref in header["constraints"].items()
-        })
-        if words <= PACKED_WORD_BUDGET
-        else None
-    )
-    object.__setattr__(compiled, _LAYOUT_ATTR, layout)
-    return compiled
-
-
 __all__ = [
     "PACKED_WORD_BUDGET",
-    "SHARED_MAGIC",
     "ModuloPackedRUMap",
     "PackedConstraint",
     "PackedMdes",
     "PackedOrTree",
     "PackedRUMap",
-    "compiled_from_shared_buffer",
-    "compiled_to_shared_bytes",
     "evaluate_window",
     "join_words",
     "numpy_available",

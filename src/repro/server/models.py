@@ -47,11 +47,10 @@ _SCHEDULE_KEYS = frozenset((
 _BATCH_KEYS = _SCHEDULE_KEYS | {"config"}
 
 #: Keys the wire ``"config"`` object may set.  Deliberately narrower
-#: than :class:`BatchConfig`: placement knobs (``cache_dir``) and the
-#: fault-injection surface stay server-side.
+#: than :class:`BatchConfig`: placement knobs (``cache_dir``), the pool
+#: width (``workers``) and the fault-injection surface stay server-side.
 _CONFIG_KEYS = frozenset((
-    "workers", "chunk_size", "on_error", "shared_descriptions",
-    "retries", "chunk_timeout_seconds",
+    "chunk_size", "on_error", "retries", "chunk_timeout_seconds",
 ))
 
 
@@ -180,20 +179,15 @@ def _decode_config(
         overrides["verify"] = bool(verify)
     payload = _expect(payload, "config") if payload is not None else {}
     _reject_unknown(payload, _CONFIG_KEYS, "config")
-    for key in ("workers", "chunk_size"):
-        if key in payload:
-            try:
-                overrides[key] = int(payload[key])
-            except (TypeError, ValueError):
-                raise RequestError(
-                    f"{key} must be an integer: {payload[key]!r}"
-                ) from None
+    if "chunk_size" in payload:
+        try:
+            overrides["chunk_size"] = int(payload["chunk_size"])
+        except (TypeError, ValueError):
+            raise RequestError(
+                f"chunk_size must be an integer: {payload['chunk_size']!r}"
+            ) from None
     if "on_error" in payload:
         overrides["on_error"] = payload["on_error"]
-    if "shared_descriptions" in payload:
-        overrides["shared_descriptions"] = bool(
-            payload["shared_descriptions"]
-        )
     if "retries" in payload:
         try:
             overrides["retry"] = RetryPolicy(retries=int(payload["retries"]))

@@ -19,11 +19,15 @@ for 1 worker, N workers, and the plain serial path:
   backend's transition table -- therefore starts empty per chunk, which
   makes the summed stats a pure function of the chunk partition rather
   than of how chunks happened to land on workers.
-* Workers warm up from the persistent disk cache
-  (:class:`~repro.engine.diskcache.DiskDescriptionCache`): a fresh
-  process ``load_lmdes``'s the compiled description instead of
-  re-parsing HMDES and re-running the transformation pipeline, which is
-  the paper's ship-the-low-level-file workflow applied to our own pool.
+* Workers never compile what the parent already holds: the parent
+  compiles the description once and hands it to every worker through
+  the pool initializer (inherited as-is under ``fork``, pickled once
+  per worker otherwise).  When seeding is skipped, workers warm up
+  from the persistent disk cache
+  (:class:`~repro.engine.diskcache.DiskDescriptionCache`), which
+  ``load_lmdes``'s the compiled description instead of re-parsing HMDES
+  and re-running the transformation pipeline -- the paper's
+  ship-the-low-level-file workflow applied to our own pool.
 
 The same properties make the driver *fault-tolerant* without weakening
 the contract (:mod:`repro.service.resilience`): a failed chunk
@@ -61,7 +65,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.engine import shared
 from repro.engine.base import QueryEngine
 from repro.engine.cache import CacheStats, DescriptionCache
 from repro.engine.diskcache import (
@@ -74,6 +77,7 @@ from repro.engine.table import TableEngine
 from repro.errors import ChunkTimeoutError, ServiceError, VerificationError
 from repro.ir.block import BasicBlock
 from repro.lowlevel.checker import CheckStats
+from repro.lowlevel.compiled import CompiledMdes
 from repro.machines import get_machine
 from repro.scheduler import ListScheduler, BlockSchedule, schedule_workload
 from repro.service import faults
@@ -123,10 +127,8 @@ class BatchResult:
     timeouts: int = 0
     pool_restarts: int = 0
     degraded: bool = False
-    #: Whether a shared-memory description segment backed the pool.
-    shared_descriptions: bool = False
     #: Summed per-chunk engine-construction time, in seconds -- the
-    #: setup cost zero-copy sharing is built to collapse.
+    #: setup cost seeding workers with the parent's compile collapses.
     chunk_setup_seconds: float = 0.0
     #: Oracle report when the run asked for ``BatchConfig.verify``.
     verify_report: Optional[Any] = None
@@ -191,10 +193,9 @@ class _Tally:
     timeouts: int = 0
     pool_restarts: int = 0
     degraded: bool = False
-    shared: bool = False
-    #: Disk-tier activity of the parent's publish compile, which runs
-    #: against its own cache -- folded into the result so a shared run
-    #: still reports its cold store / warm hit / quarantine counters.
+    #: Cache activity of the parent's seed compile, which runs against
+    #: its own cache -- folded into the result so a seeded run still
+    #: reports its cold store / warm hit / quarantine counters.
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
 
@@ -213,19 +214,24 @@ def _chunk_blocks(
 
 #: Per-process description cache for pool workers, created by
 #: :func:`_init_worker`.  Forked workers deliberately build their own
-#: cache rather than inheriting the parent's, so the disk tier (not a
-#: copy-on-write accident) is what makes restarts warm.
+#: cache rather than inheriting the parent's, so what a worker holds is
+#: the initializer's seed plus the disk tier, whatever the start method.
 _WORKER_CACHE: Optional[DescriptionCache] = None
 
 #: Per-process memo of LMDES files already loaded (path -> compiled).
 _LMDES_FILES: dict = {}
+
+#: A parent-compiled description for the pool initializer: the
+#: :meth:`DescriptionCache.seed_compiled` key fields and the compiled
+#: form itself.
+_Seed = Tuple[Tuple[str, str, str, int, bool, bool], CompiledMdes]
 
 
 def _init_worker(
     cache_dir: Optional[str],
     obs_enabled: bool = False,
     plan: Optional[faults.FaultPlan] = None,
-    shared_spec: Optional[shared.SharedDescriptionSpec] = None,
+    seed: Optional[_Seed] = None,
     obs_memory: bool = False,
 ) -> None:
     global _WORKER_CACHE
@@ -238,44 +244,12 @@ def _init_worker(
     faults.install(plan)
     disk = DiskDescriptionCache(cache_dir) if cache_dir else None
     _WORKER_CACHE = DescriptionCache(disk=disk)
-    if shared_spec is not None:
-        _seed_from_shared(_WORKER_CACHE, disk, shared_spec)
-
-
-def _seed_from_shared(
-    cache: DescriptionCache,
-    disk: Optional[DiskDescriptionCache],
-    spec: shared.SharedDescriptionSpec,
-) -> None:
-    """Pre-populate a worker cache from the published segment.
-
-    Attach order: the shared-memory segment first (zero-copy), then the
-    disk cache's packed sidecar (one read, no JSON parse), then nothing
-    -- the first ``create_engine`` simply takes the normal disk path.
-    Seeding touches no counters and no spans, so worker traces and
-    folded cache stats keep the exact shapes the differential harness
-    pins down.
-    """
-    compiled = shared.attach(spec)
-    if compiled is None and disk is not None:
-        blob = disk.load_packed(spec.machine_name, spec.digest)
-        if blob is not None:
-            from repro.lowlevel.packed import compiled_from_shared_buffer
-
-            try:
-                compiled = compiled_from_shared_buffer(blob)
-            except Exception:
-                logger.exception(
-                    "could not decode packed sidecar for %s; "
-                    "falling back to the LMDES artifact",
-                    spec.machine_name,
-                )
-                compiled = None
-    if compiled is not None:
-        cache.seed_compiled(
-            spec.machine_name, spec.token, spec.rep, spec.stage,
-            spec.bitvector, spec.reduce, compiled,
-        )
+    if seed is not None:
+        # A plain insertion: no counters, no spans, so worker traces and
+        # folded cache stats keep the shapes the differential harness
+        # pins down.
+        key, compiled = seed
+        _WORKER_CACHE.seed_compiled(*key, compiled)
 
 
 def _make_engine(
@@ -527,42 +501,38 @@ def _shutdown_abandoned_pool(pool: ProcessPoolExecutor) -> None:
             )
 
 
-def _sharing_enabled(
+def _seeding_enabled(
     config: BatchConfig, plan: Optional[faults.FaultPlan]
 ) -> bool:
-    """Whether this run may publish a shared description segment.
+    """Whether this run may seed its pool workers from the parent.
 
     ``lmdes_path`` runs already have their compact artifact on disk per
     worker, and cache-corruption fault profiles exist precisely to
     drive the disk tier's quarantine path -- seeding workers past the
     disk would mask the behaviour those runs are asserting.
     """
-    if not config.shared_descriptions or config.lmdes_path:
+    if config.lmdes_path:
         return False
-    if plan is not None and any(
+    return plan is None or not any(
         rule.kind == "corrupt" for rule in plan.rules
-    ):
-        return False
-    return shared.available()
+    )
 
 
-def _publish_shared(
+def _compile_seed(
     machine, config: BatchConfig, tally: _Tally,
     cache: Optional[DescriptionCache] = None,
-) -> Optional[shared.SharedDescriptionSpec]:
-    """Compile once in the parent and publish the segment (best effort).
+) -> Optional[_Seed]:
+    """Compile once in the parent for the pool initializer (best effort).
 
     The compile runs against a discarded trace capture: the parent's
-    span tree must stay identical whether or not sharing kicked in
-    (span-merge determinism is asserted across worker counts).  When a
-    persistent disk tier is attached, the packed bytes are also
-    written through as a ``.packed.bin`` sidecar, so even a worker that
-    cannot attach shared memory skips the JSON parse.
+    span tree must stay identical whether or not seeding kicked in
+    (span-merge determinism is asserted across worker counts).
 
     A caller-lent long-lived ``cache`` (the server's warm cache) is
-    used as-is -- a warm hit publishes without recompiling -- and only
-    this call's stats *delta* is folded into the tally, so a cache that
-    outlives many runs is never double-counted.
+    used as-is -- a warm hit seeds without recompiling -- and only this
+    call's stats *delta* is folded into the tally, so a cache that
+    outlives many runs is never double-counted.  On failure the workers
+    compile for themselves.
     """
     try:
         spec = get_engine_spec(config.backend or DEFAULT_BACKEND)
@@ -575,13 +545,10 @@ def _publish_shared(
         return None
     try:
         if cache is None:
-            disk = (
-                DiskDescriptionCache(config.cache_dir)
+            cache = DescriptionCache(
+                disk=DiskDescriptionCache(config.cache_dir)
                 if config.cache_dir else None
             )
-            cache = DescriptionCache(disk=disk)
-        else:
-            disk = cache.disk
         before = cache.stats.copy()
         try:
             with obs.capture():
@@ -591,24 +558,15 @@ def _publish_shared(
                 )
         finally:
             tally.cache_stats += cache.stats.since(before)
-        published = shared.publish(
-            compiled, machine.name, token, spec.rep, config.stage,
-            spec.bitvector, spec.reduce,
-        )
-        if published is not None and disk is not None:
-            from repro.lowlevel.packed import compiled_to_shared_bytes
-
-            disk.store_packed(
-                machine.name, published.digest,
-                compiled_to_shared_bytes(compiled),
-            )
-        return published
     except Exception:
         logger.exception(
-            "could not publish a shared description for %s; workers "
-            "will warm up from the disk tier", machine.name,
+            "could not compile %s in the parent; pool workers will "
+            "compile it themselves", machine.name,
         )
         return None
+    key = (machine.name, token, spec.rep, config.stage, spec.bitvector,
+           spec.reduce)
+    return key, compiled
 
 
 def _run_pooled(
@@ -627,38 +585,13 @@ def _run_pooled(
     for isolation; ``BrokenProcessPool`` and chunk timeouts abandon the
     generation and resubmit the survivors to a fresh pool, bounded by
     ``retry.max_pool_restarts``, after which the run degrades to the
-    serial path.
-
-    A shared description segment, when published, lives exactly as long
-    as this call: every pool generation reuses it (restart recovery
-    stays warm) and the ``finally`` below releases it even when the
-    run degrades or raises -- no ``/dev/shm`` segment survives the
-    driver.
+    serial path.  Every generation's workers are seeded with the one
+    parent compile, so restart recovery stays warm.
     """
-    shared_spec = (
-        _publish_shared(machine, config, tally, cache=cache)
-        if _sharing_enabled(config, plan) else None
+    seed = (
+        _compile_seed(machine, config, tally, cache=cache)
+        if _seeding_enabled(config, plan) else None
     )
-    tally.shared = shared_spec is not None
-    try:
-        _run_pooled_generations(
-            machine, states, config, plan, outcomes, block_failures,
-            tally, shared_spec,
-        )
-    finally:
-        shared.release(shared_spec)
-
-
-def _run_pooled_generations(
-    machine,
-    states: List[_ChunkState],
-    config: BatchConfig,
-    plan: Optional[faults.FaultPlan],
-    outcomes: Dict[int, _ChunkOutcome],
-    block_failures: List[BlockFailure],
-    tally: _Tally,
-    shared_spec: Optional[shared.SharedDescriptionSpec],
-) -> None:
     policy = config.retry
     budget = config.timeout.chunk_seconds
     pending: Dict[int, _ChunkState] = {s.index: s for s in states}
@@ -706,7 +639,7 @@ def _run_pooled_generations(
         pool = ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
-            initargs=(config.cache_dir, obs.enabled(), plan, shared_spec,
+            initargs=(config.cache_dir, obs.enabled(), plan, seed,
                       obs.memory_enabled()),
         )
         broken = False
@@ -857,8 +790,8 @@ def schedule_batch(
     ``cache`` lends the run a long-lived description cache (the server
     tier's warm process-wide cache) instead of the per-call default;
     the in-process path schedules straight out of it and the pool path
-    publishes its shared segment from it, so a description compiles at
-    most once across every request that shares the cache.
+    seeds its workers from it, so a description compiles at most once
+    across every request that shares the cache.
 
     Recoverable faults (worker death, chunk timeouts, transient
     scheduling errors, corrupt cache entries) are retried under
@@ -923,7 +856,6 @@ def schedule_batch(
             timeouts=tally.timeouts,
             pool_restarts=tally.pool_restarts,
             degraded=tally.degraded,
-            shared_descriptions=tally.shared,
         )
         result.cache_stats += tally.cache_stats
         # Chunk order, not completion order: the stats fold, the

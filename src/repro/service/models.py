@@ -86,13 +86,6 @@ class BatchConfig:
             lands in ``BatchResult.verify_report``; in ``"raise"`` mode
             a failed verification raises
             :class:`~repro.errors.VerificationError`.
-        shared_descriptions: Publish the compiled description to pool
-            workers as a zero-copy shared-memory segment
-            (:mod:`repro.engine.shared`); workers attach it instead of
-            re-deserializing the disk artifact.  Purely an
-            optimization: any attach failure falls back to the normal
-            cache path, and runs injecting cache corruption disable
-            sharing so the quarantine path stays observable.
     """
 
     backend: Optional[str] = None
@@ -106,7 +99,6 @@ class BatchConfig:
     timeout: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     on_error: str = "raise"
     verify: bool = False
-    shared_descriptions: bool = True
 
     def validate(self) -> None:
         if self.backend and self.lmdes_path:

@@ -1,10 +1,8 @@
 """Tests for the numpy-packed layout (:mod:`repro.lowlevel.packed`).
 
 Covers the shadow RU maps (dict source of truth, array mirror), the
-packed constraint layout and its vectorized window evaluation, the
-eligibility fallback for machines wider than the packed word budget,
-and the shared wire format round trip the zero-copy worker path
-attaches to.
+packed constraint layout and its vectorized window evaluation, and the
+eligibility fallback for machines wider than the packed word budget.
 """
 
 import pytest
@@ -23,8 +21,6 @@ from repro.lowlevel.packed import (
     PACKED_WORD_BUDGET,
     ModuloPackedRUMap,
     PackedRUMap,
-    compiled_from_shared_buffer,
-    compiled_to_shared_bytes,
     evaluate_window,
     join_words,
     numpy_available,
@@ -279,94 +275,3 @@ class TestPackedLayout:
             assert (probe is not None) == bool(success[offset])
             if probe is not None:
                 scalar.release(probe)
-
-
-class TestSharedWireFormat:
-    @pytest.mark.parametrize("backend", ["bitvector", "eichenberger"])
-    @pytest.mark.parametrize("machine_name", MACHINE_NAMES)
-    def test_round_trip_preserves_scheduling_behaviour(
-        self, machine_name, backend
-    ):
-        from repro.engine.table import TableEngine
-        from tests.conftest import shared_workload
-        from repro.scheduler import schedule_workload
-
-        machine, blocks = shared_workload(machine_name, 80, 5)
-        compiled = create_engine(backend, machine, stage=4).compiled
-        blob = compiled_to_shared_bytes(compiled)
-        clone = compiled_from_shared_buffer(blob)
-
-        original = schedule_workload(
-            machine, None, blocks, keep_schedules=True,
-            engine=TableEngine(compiled, name=backend),
-        )
-        rebuilt = schedule_workload(
-            machine, None, blocks, keep_schedules=True,
-            engine=TableEngine(clone, name=backend),
-        )
-        assert [s.signature() for s in rebuilt.schedules] == \
-            [s.signature() for s in original.schedules]
-        assert rebuilt.stats == original.stats
-
-    def test_round_trip_preserves_identity_sharing(self):
-        compiled = create_engine(
-            "bitvector", get_machine("SuperSPARC")
-        ).compiled
-        clone = compiled_from_shared_buffer(
-            compiled_to_shared_bytes(compiled)
-        )
-
-        def unique_options(description):
-            seen = set()
-            from repro.lowlevel.compiled import CompiledAndOrTree
-
-            for constraint in description.constraints.values():
-                trees = (
-                    constraint.or_trees
-                    if isinstance(constraint, CompiledAndOrTree)
-                    else (constraint,)
-                )
-                for tree in trees:
-                    for option in tree.options:
-                        seen.add(id(option))
-            return len(seen)
-
-        assert unique_options(clone) == unique_options(compiled)
-
-    def test_clone_carries_zero_copy_packed_layout(self):
-        compiled = create_engine(
-            "bitvector", get_machine("K5")
-        ).compiled
-        blob = bytearray(compiled_to_shared_bytes(compiled))
-        clone = compiled_from_shared_buffer(blob)
-        layout = packed_layout(clone)
-        assert layout is not None
-        # The layout's arrays are views into the buffer, not copies.
-        some_tree = next(iter(layout.constraints.values())).trees[0]
-        assert some_tree.times.base is not None
-
-    def test_metadata_survives(self):
-        compiled = create_engine(
-            "bitvector", get_machine("Pentium")
-        ).compiled
-        clone = compiled_from_shared_buffer(
-            compiled_to_shared_bytes(compiled)
-        )
-        assert clone.bitvector == compiled.bitvector
-        assert clone.source.name == compiled.source.name
-        assert clone.source.opcode_map == compiled.source.opcode_map
-        assert set(clone.constraints) == set(compiled.constraints)
-        assert clone.source.resources.names == \
-            compiled.source.resources.names
-        assert set(clone.source.bypasses) == set(compiled.source.bypasses)
-        for key, bypass in compiled.source.bypasses.items():
-            assert clone.source.bypasses[key].latency == bypass.latency
-
-    def test_rejects_torn_magic(self):
-        compiled = create_engine(
-            "bitvector", get_machine("K5")
-        ).compiled
-        blob = bytearray(compiled_to_shared_bytes(compiled))
-        blob[0] ^= 0xFF
-        with pytest.raises(ValueError, match="packed shared description"):
-            compiled_from_shared_buffer(bytes(blob))

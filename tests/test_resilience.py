@@ -20,6 +20,7 @@ import pytest
 
 from repro import obs
 from repro.engine import create_engine
+from repro.engine.cache import DescriptionCache
 from repro.errors import ServiceError, WorkerCrashError
 from repro.scheduler import schedule_workload
 from repro.service import (
@@ -30,6 +31,7 @@ from repro.service import (
     schedule_batch,
 )
 from repro.service import faults
+from repro.service.batch import _seeding_enabled
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.resilience import is_retryable
 
@@ -517,6 +519,47 @@ class TestPoolRecovery:
         # with injection suppressed) -- output stays bit-for-bit clean.
         assert_same_outcome(result, reference)
         assert result.errors == []
+
+
+# ----------------------------------------------------------------------
+# Worker seeding (the parent compiles, the pool initializer hands it on)
+# ----------------------------------------------------------------------
+
+
+class TestWorkerSeeding:
+    def test_default_config_seeds(self):
+        assert _seeding_enabled(BatchConfig(), None)
+        assert _seeding_enabled(BatchConfig(), FaultPlan())
+
+    def test_lmdes_file_runs_never_seed(self):
+        config = BatchConfig(lmdes_path="/tmp/some.lmdes.json")
+        assert not _seeding_enabled(config, None)
+
+    def test_corrupt_fault_profile_disables_seeding(self):
+        plan = parse_faults("seed=1;corrupt@0#*")
+        assert not _seeding_enabled(BatchConfig(), plan)
+
+    def test_crash_and_sched_profiles_keep_seeding(self):
+        assert _seeding_enabled(BatchConfig(), parse_faults("crash@0"))
+        assert _seeding_enabled(
+            BatchConfig(), parse_faults("seed=2;sched@0#*")
+        )
+
+    def test_warm_lent_cache_compiles_nothing_in_the_pool(self):
+        """Workers seeded from a warm lent cache never compile."""
+        machine, blocks = workload(ops=60, seed=23)
+        cache = DescriptionCache()
+        config = BatchConfig(
+            backend="bitvector", stage=STAGE, chunk_size=8,
+        )
+        schedule_batch(MACHINE, blocks, config, cache=cache)
+        assert cache.stats.misses  # the warming run compiled
+        result = schedule_batch(
+            MACHINE, blocks, dataclasses.replace(config, workers=2),
+            cache=cache,
+        )
+        assert result.cache_stats.misses == 0
+        assert result.cache_stats.hits >= 1
 
 
 # ----------------------------------------------------------------------

@@ -227,15 +227,25 @@ class TestBatchRoute:
         assert body["schedules"] == serial.to_dict()["schedules"]
 
     def test_server_side_config_knobs_stay_server_side(self):
+        # Placement and pool width are deployment settings, and the
+        # sharing knob is no BatchConfig field at all: a client body
+        # setting any of them is a typed 400, never an override.
+        knobs = {
+            "cache_dir": "/tmp/evil", "workers": 2,
+            "shared_descriptions": True,
+        }
+
         async def scenario():
             async with AsgiClient(make_app()) as client:
-                return await client.post("/v1/schedule/batch", dict(
-                    payload("K5", 40, 1),
-                    config={"cache_dir": "/tmp/evil"},
-                ))
-        response = run(scenario())
-        assert response.status == 400
-        assert "cache_dir" in response.json()["message"]
+                return [
+                    await client.post("/v1/schedule/batch", dict(
+                        payload("K5", 40, 1), config={key: value},
+                    ))
+                    for key, value in knobs.items()
+                ]
+        for key, response in zip(knobs, run(scenario())):
+            assert response.status == 400, key
+            assert key in response.json()["message"]
 
 
 class TestBackpressure:
@@ -556,16 +566,12 @@ class TestWireModels:
             {
                 "machine": "K5",
                 "workload": {"total_ops": 30, "seed": 1},
-                "config": {
-                    "workers": 2, "retries": 1,
-                    "chunk_timeout_seconds": 2.5,
-                },
+                "config": {"retries": 1, "chunk_timeout_seconds": 2.5},
                 "include_schedules": False,
             },
             base_config=BatchConfig(cache_dir="/srv/cache"),
         )
         assert include is False
-        assert request.config.workers == 2
         assert request.config.retry.retries == 1
         assert request.config.timeout.chunk_seconds == 2.5
         # The server-side placement knob survives the overlay.

@@ -21,7 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import ExperimentSuite
-from repro.engine import create_engine, engine_names, get_engine_spec
+from repro.engine import (
+    DescriptionCache,
+    DiskDescriptionCache,
+    create_engine,
+    engine_names,
+    get_engine_spec,
+)
 from repro.lowlevel.checker import CheckStats
 from repro.machines import MACHINE_NAMES, get_machine
 from repro.scheduler import schedule_workload
@@ -39,13 +45,26 @@ def workload(machine_name, ops=220, seed=11):
     return shared_workload(machine_name, ops, seed)
 
 
-def serial_chunked_reference(machine, blocks, backend, chunk=CHUNK):
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    """One disk tier for the module's serial reference and batch legs.
+
+    The serial reference runs first and stores each (machine, backend)
+    compile; both batch legs then load the LMDES artifact instead of
+    recompiling (K5 flat-OR takes seconds to compile).
+    """
+    return str(tmp_path_factory.mktemp("differential-cache"))
+
+
+def serial_chunked_reference(machine, blocks, backend, cache_dir,
+                             chunk=CHUNK):
     """Ground truth: plain schedule_workload per chunk, stats folded."""
+    cache = DescriptionCache(disk=DiskDescriptionCache(cache_dir))
     signature = []
     stats = CheckStats()
     total_ops = total_cycles = 0
     for start in range(0, len(blocks), chunk):
-        engine = create_engine(backend, machine, stage=STAGE)
+        engine = create_engine(backend, machine, stage=STAGE, cache=cache)
         run = schedule_workload(
             machine,
             None,
@@ -64,11 +83,11 @@ class TestDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("machine_name", MACHINE_NAMES)
     def test_serial_one_worker_and_n_workers_agree(
-        self, machine_name, backend
+        self, machine_name, backend, cache_dir
     ):
         machine, blocks = workload(machine_name)
         signature, stats, ops, cycles = serial_chunked_reference(
-            machine, blocks, backend
+            machine, blocks, backend, cache_dir
         )
 
         results = {
@@ -80,6 +99,7 @@ class TestDifferential:
                     stage=STAGE,
                     workers=workers,
                     chunk_size=CHUNK,
+                    cache_dir=cache_dir,
                 ),
             )
             for workers in (1, N_WORKERS)
