@@ -16,8 +16,7 @@ from repro.machines import get_machine
 from repro.scheduler import schedule_workload
 from repro.workloads import WorkloadConfig, generate_blocks
 
-#: K5's 2000+ flat options make the O(n^2) reduction slow; bench the rest.
-MACHINES = ("PA7100", "Pentium", "SuperSPARC")
+MACHINES = ("PA7100", "Pentium", "SuperSPARC", "K5")
 
 
 def test_ablation_eichenberger_regenerate(results_dir, benchmark):

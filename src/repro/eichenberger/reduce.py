@@ -17,24 +17,17 @@ preserves the produced schedule bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.mdes import Mdes
 from repro.core.tables import OrTree, ReservationTable
+from repro.core.usage import ResourceUsage
 from repro.errors import MdesError
 from repro.transforms.base import TreeRewriter
 
-#: (resource id, time) pairs -- the working form of an option.
-_Pairs = Tuple[Tuple[int, int], ...]
-
-
-def _collisions(a: Sequence, b: Sequence) -> frozenset:
-    return frozenset(
-        ua.time - ub.time
-        for ua in a
-        for ub in b
-        if ua.resource is ub.resource and ua.time >= ub.time
-    )
+#: ``(id(resource), time)``: a usage keyed by resource identity, the way
+#: :func:`repro.automata.collision.forbidden_latencies` matches usages.
+_Key = Tuple[int, int]
 
 
 def reduce_options(
@@ -44,32 +37,49 @@ def reduce_options(
 
     ``options`` must contain every option of the description: a deletion
     is only safe when checked against all of them.
-    """
-    current: List[List] = [list(option.usages) for option in options]
 
-    def safe_to_drop(index: int, usage_position: int) -> bool:
-        candidate = (
-            current[index][:usage_position]
-            + current[index][usage_position + 1 :]
-        )
-        if not candidate:
+    Dropping usage ``u = (r, t)`` can only remove the collision distances
+    ``u`` itself produced, all against usages of ``r``.  The drop is safe
+    exactly when every such distance is still produced by another pair,
+    so only those distances are checked.
+    """
+    current: List[List[ResourceUsage]] = [
+        list(option.usages) for option in options
+    ]
+    # Bit i of holders[key] is set while option i holds that usage.
+    holders: Dict[_Key, int] = {}
+    # The times each resource is used at.  Built once: a time no option
+    # holds any more has an empty mask and adds nothing.
+    times: Dict[int, Set[int]] = {}
+    for index, usages in enumerate(current):
+        for usage in usages:
+            key = (id(usage.resource), usage.time)
+            holders[key] = holders.get(key, 0) | (1 << index)
+            times.setdefault(key[0], set()).add(usage.time)
+
+    def drop_if_safe(index: int, usage_position: int) -> bool:
+        usages = current[index]
+        if len(usages) == 1:
             return False
-        original = current[index]
-        for other_index, other in enumerate(current):
-            if other_index == index:
-                if _collisions(candidate, candidate) != _collisions(
-                    original, original
-                ):
-                    return False
+        candidate = [(id(usage.resource), usage.time) for usage in usages]
+        resource, time = candidate.pop(usage_position)
+        bit = 1 << index
+        holders[(resource, time)] &= ~bit
+        # Every option still holding some (r, x), this one included, had
+        # distance d = t - x to u.  It must also hold (a.resource,
+        # a.time - d) for some usage a of the candidate.
+        for other_time in times[resource]:
+            needed = holders[(resource, other_time)]
+            if not needed:
                 continue
-            if _collisions(candidate, other) != _collisions(
-                original, other
-            ):
+            distance = time - other_time
+            kept = 0
+            for a_resource, a_time in candidate:
+                kept |= holders.get((a_resource, a_time - distance), 0)
+            if needed & ~kept:
+                holders[(resource, time)] |= bit
                 return False
-            if _collisions(other, candidate) != _collisions(
-                other, original
-            ):
-                return False
+        del usages[usage_position]
         return True
 
     changed = True
@@ -78,8 +88,7 @@ def reduce_options(
         for index in range(len(current)):
             position = 0
             while position < len(current[index]):
-                if safe_to_drop(index, position):
-                    del current[index][position]
+                if drop_if_safe(index, position):
                     changed = True
                 else:
                     position += 1
@@ -92,8 +101,10 @@ def reduce_options(
 
 def reduce_mdes_options(mdes: Mdes) -> Mdes:
     """Apply the reduction to a whole flat (OR-tree) description."""
-    for op_class in mdes.op_classes.values():
-        if not isinstance(op_class.constraint, OrTree):
+    trees = [op_class.constraint for op_class in mdes.op_classes.values()]
+    trees.extend(mdes.unused_trees.values())
+    for tree in trees:
+        if not isinstance(tree, OrTree):
             raise MdesError(
                 "Eichenberger-Davidson reduction operates on flat OR-tree "
                 "descriptions; expand AND/OR-trees first"

@@ -15,20 +15,30 @@ so the schedule is preserved.
 
 from __future__ import annotations
 
-from typing import List
+from typing import FrozenSet, List
 
 from repro.core.mdes import Mdes
 from repro.core.tables import OrTree, ReservationTable
+from repro.core.usage import ResourceUsage
 from repro.transforms.base import TreeRewriter
 
 
 def prune_or_tree(tree: OrTree) -> OrTree:
-    """Return ``tree`` without options dominated by a higher priority one."""
+    """Return ``tree`` without options dominated by a higher priority one.
+
+    The rule is :meth:`ReservationTable.dominates`, with each option's
+    usage set built once per tree rather than once per compared pair.
+    """
+    if len(tree.options) == 1:
+        return tree
     kept: List[ReservationTable] = []
+    kept_sets: List[FrozenSet[ResourceUsage]] = []
     for option in tree.options:
-        if any(higher.dominates(option) for higher in kept):
+        usage_set = frozenset(option.usages)
+        if any(higher <= usage_set for higher in kept_sets):
             continue
         kept.append(option)
+        kept_sets.append(usage_set)
     if len(kept) == len(tree.options):
         return tree
     return OrTree(tuple(kept), name=tree.name)

@@ -1,9 +1,11 @@
 """Tests for the Eichenberger-Davidson reduction baseline."""
 
+import dataclasses
+
 import pytest
 
 from repro.automata.collision import forbidden_latencies, mdes_options
-from repro.core.tables import ReservationTable
+from repro.core.tables import AndOrTree, ReservationTable
 from repro.core.usage import ResourceUsage
 from repro.eichenberger import reduce_mdes_options, reduce_options
 from repro.errors import MdesError
@@ -59,6 +61,14 @@ class TestReduceMdes:
         mdes = get_machine("SuperSPARC").build_andor()
         with pytest.raises(MdesError, match="flat"):
             reduce_mdes_options(mdes)
+        dead = next(
+            tree for tree in mdes.constraints() if isinstance(tree, AndOrTree)
+        )
+        flat = dataclasses.replace(
+            get_machine("PA7100").build_or(), unused_trees={"dead": dead}
+        )
+        with pytest.raises(MdesError, match="flat"):
+            reduce_mdes_options(flat)
 
     def test_pa7100_collision_preservation(self):
         mdes = get_machine("PA7100").build_or()

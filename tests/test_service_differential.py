@@ -51,7 +51,9 @@ def cache_dir(tmp_path_factory):
 
     The serial reference runs first and stores each (machine, backend)
     compile; both batch legs then load the LMDES artifact instead of
-    recompiling (K5 flat-OR takes seconds to compile).
+    recompiling (on a 2-vCPU VM, K5 flat-OR at stage 4 compiled in
+    0.14 s, or 0.21 s with the Eichenberger-Davidson reduction, and its
+    artifact loaded in 0.04 s).
     """
     return str(tmp_path_factory.mktemp("differential-cache"))
 
