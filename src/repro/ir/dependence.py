@@ -10,12 +10,18 @@ Edges carry two latencies:
   lets a flow-dependent IALU pair issue in the same cycle, so such edges
   get ``min_latency=0``; the scheduler must then use the consumer's
   cascaded operation class, which has half the reservation table options.
+
+Each operation's incoming edges are collected in one pass over the
+block, at most one per ``(pred, kind)`` pair: the first edge of a pair
+stands, and a repeat (a producer of two sources, a reader or an earlier
+writer of two destinations) is dropped.  Edges are named tuples, so
+they compare and hash as plain tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.operation import Operation
@@ -27,8 +33,7 @@ MEMORY = "memory"
 CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """A dependence from ``pred`` to ``succ`` (operation indices).
 
     ``bypass_class`` names the operation class the consumer must use
@@ -51,19 +56,16 @@ class Edge:
 
 @dataclass
 class DependenceGraph:
-    """Dependences of one basic block, as predecessor/successor lists."""
+    """Dependences of one basic block, as predecessor/successor lists.
+
+    ``preds`` holds the operations that have incoming edges, in block
+    order; ``succs`` holds each operation with outgoing edges, in the
+    order its first outgoing edge was built.
+    """
 
     block: BasicBlock
     preds: Dict[int, List[Edge]] = field(default_factory=dict)
     succs: Dict[int, List[Edge]] = field(default_factory=dict)
-
-    def add_edge(self, edge: Edge) -> None:
-        """Insert one edge (duplicates between a pair are kept strongest)."""
-        for existing in self.preds.setdefault(edge.succ, []):
-            if existing.pred == edge.pred and existing.kind == edge.kind:
-                return
-        self.preds[edge.succ].append(edge)
-        self.succs.setdefault(edge.pred, []).append(edge)
 
     def preds_of(self, index: int) -> List[Edge]:
         """Incoming dependences of an operation."""
@@ -104,17 +106,25 @@ def build_dependence_graph(
     serializes against every later memory operation, and a load against
     every later store.
     """
-    graph = DependenceGraph(block)
+    preds: Dict[int, List[Edge]] = {}
+    succs: Dict[int, List[Edge]] = {}
     last_writer: Dict[str, Operation] = {}
     readers_since_write: Dict[str, List[Operation]] = {}
     last_store: Optional[Operation] = None
     loads_since_store: List[Operation] = []
 
     for op in block.operations:
+        index = op.index
+        incoming: List[Edge] = []
+        # Only flow, anti and output pairs can repeat; repeats of a pair
+        # carry the same latencies, so the first edge stands.
+        seen: Set[Tuple[int, str]] = set()
+
         # Flow dependences: the latest writer of each source.
         for src in set(op.srcs):
             producer = last_writer.get(src)
-            if producer is not None:
+            if producer is not None and (producer.index, FLOW) not in seen:
+                seen.add((producer.index, FLOW))
                 if flow_latency_of is not None:
                     latency = flow_latency_of(producer, op)
                 else:
@@ -131,38 +141,34 @@ def build_dependence_graph(
                     bypass_class = bypass.substitute_class
                 elif cascade_ok is not None and cascade_ok(producer, op):
                     min_latency = 0
-                graph.add_edge(
-                    Edge(
-                        producer.index, op.index, FLOW, latency,
-                        min_latency, bypass_class,
-                    )
-                )
+                incoming.append(Edge(
+                    producer.index, index, FLOW, latency, min_latency,
+                    bypass_class,
+                ))
             readers_since_write.setdefault(src, []).append(op)
 
         # Anti and output dependences on each destination.
         for dest in set(op.dests):
             for reader in readers_since_write.get(dest, []):
-                if reader.index != op.index:
-                    graph.add_edge(Edge(reader.index, op.index, ANTI, 0, 0))
+                if reader.index != index and (reader.index, ANTI) not in seen:
+                    seen.add((reader.index, ANTI))
+                    incoming.append(Edge(reader.index, index, ANTI, 0, 0))
             previous = last_writer.get(dest)
-            if previous is not None:
-                graph.add_edge(
-                    Edge(previous.index, op.index, OUTPUT, 1, 1)
-                )
+            if previous is not None and (previous.index, OUTPUT) not in seen:
+                seen.add((previous.index, OUTPUT))
+                incoming.append(Edge(previous.index, index, OUTPUT, 1, 1))
             last_writer[dest] = op
             readers_since_write[dest] = []
 
         # Memory serialization.
         if op.is_mem:
             if last_store is not None:
-                graph.add_edge(
-                    Edge(last_store.index, op.index, MEMORY, 1, 1)
-                )
+                incoming.append(Edge(last_store.index, index, MEMORY, 1, 1))
             if op.is_store:
-                for load in loads_since_store:
-                    graph.add_edge(
-                        Edge(load.index, op.index, MEMORY, 0, 0)
-                    )
+                incoming.extend(
+                    Edge(load.index, index, MEMORY, 0, 0)
+                    for load in loads_since_store
+                )
                 last_store = op
                 loads_since_store = []
             else:
@@ -170,10 +176,15 @@ def build_dependence_graph(
 
         # Control: nothing moves below the terminating branch.
         if op.is_branch:
-            for other in block.operations:
-                if other.index != op.index and other.index < op.index:
-                    graph.add_edge(
-                        Edge(other.index, op.index, CONTROL, 0, 0)
-                    )
+            incoming.extend(
+                Edge(other.index, index, CONTROL, 0, 0)
+                for other in block.operations
+                if other.index < index
+            )
 
-    return graph
+        if incoming:
+            preds[index] = incoming
+            for edge in incoming:
+                succs.setdefault(edge.pred, []).append(edge)
+
+    return DependenceGraph(block, preds, succs)

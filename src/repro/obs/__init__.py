@@ -141,9 +141,14 @@ def enable_memory() -> None:
 
 
 def disable_memory() -> None:
-    """Turn tracemalloc accounting off."""
+    """Turn tracemalloc accounting off.
+
+    Also stops ``tracemalloc`` when a memory span started it, so the
+    rest of the process no longer pays for tracing every allocation.
+    """
     global _MEMORY
     _MEMORY = False
+    TRACER.stop_memory()
 
 
 def reset() -> None:

@@ -194,6 +194,8 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self.roots: List[Span] = []
+        #: Whether a memory span of this tracer started ``tracemalloc``.
+        self._started_tracemalloc = False
 
     # ------------------------------------------------------------------
     # Stack plumbing
@@ -240,6 +242,7 @@ class Tracer:
     def _mem_enter(self) -> None:
         if not tracemalloc.is_tracing():
             tracemalloc.start()
+            self._started_tracemalloc = True
         current, _ = tracemalloc.get_traced_memory()
         # Frame: [bytes traced at entry, running absolute peak].  The
         # running peak folds in child frames' peaks, because
@@ -261,6 +264,16 @@ class Tracer:
             parent = stack[-1]
             parent[1] = max(parent[1], peak_abs)
         tracemalloc.reset_peak()
+
+    def stop_memory(self) -> None:
+        """Stop ``tracemalloc`` if a memory span of this tracer started it.
+
+        Tracing someone else started (``-X tracemalloc``, a caller's own
+        ``tracemalloc.start()``) is left running.
+        """
+        if self._started_tracemalloc:
+            self._started_tracemalloc = False
+            tracemalloc.stop()
 
     # ------------------------------------------------------------------
     # Public API

@@ -18,13 +18,16 @@ Two families of checks:
   by operand read times and honors forwarding shortcuts; the backward
   scheduler uses plain destination latencies) and check every edge's
   issue-distance requirement.
-* **Resource replay**: for each block, re-derive each placed
-  operation's reservation alternatives from the raw description and
-  search for an option assignment in which no (cycle, resource) pair is
-  reserved twice.  Because the scheduler committed to *some* option per
-  operation but the schedule does not record which, the oracle performs
-  a small backtracking search over the alternatives; a schedule is
-  valid iff at least one conflict-free assignment exists.
+* **Resource replay**: for each block, take each placed operation's
+  reservation alternatives from the raw description and search for an
+  option assignment in which no (cycle, resource) pair is reserved
+  twice.  Each class's alternatives are read off the description once
+  per oracle, at cycle 0, and shifted by an operation's scheduled
+  cycle as the search admits it.  Because the scheduler committed to
+  *some* option per operation but the schedule does not record which,
+  the oracle performs a small backtracking search over the
+  alternatives; a schedule is valid iff at least one conflict-free
+  assignment exists.
 
 Failures are reported as typed :class:`Diagnostic` records, never
 exceptions, so callers can aggregate, count, and render them.
@@ -61,6 +64,36 @@ SEARCH_BUDGET = 200_000
 
 class _BudgetExhausted(Exception):
     """Internal: the replay search ran out of nodes."""
+
+
+#: One OR-tree's options, each as ``(time, resource index, resource)``
+#: usages relative to the operation's scheduled cycle.
+_Choices = Tuple[Tuple[Tuple[int, int, object], ...], ...]
+
+
+def _class_choices(constraint) -> Tuple[_Choices, ...]:
+    """A class's choices, one :data:`_Choices` per OR-tree.
+
+    An OR-tree contributes one choice per option; an AND/OR-tree
+    contributes one set of choices per sub-OR-tree (each must be
+    satisfied independently -- sound because the translator enforces
+    sibling disjointness).
+    """
+    trees: Sequence[OrTree]
+    if isinstance(constraint, AndOrTree):
+        trees = constraint.or_trees
+    else:
+        trees = (constraint,)
+    return tuple(
+        tuple(
+            tuple(
+                (usage.time, usage.resource.index, usage.resource)
+                for usage in option.usages
+            )
+            for option in tree.options
+        )
+        for tree in trees
+    )
 
 
 @dataclass(frozen=True)
@@ -146,6 +179,11 @@ class ScheduleOracle:
         self.direction = direction
         #: The untransformed description straight out of the translator.
         self.mdes: Mdes = machine.build()
+        #: Each class's choices, one :data:`_Choices` per OR-tree.
+        self._choices: Dict[str, Tuple[_Choices, ...]] = {
+            name: _class_choices(op_class.constraint)
+            for name, op_class in self.mdes.op_classes.items()
+        }
 
     # ------------------------------------------------------------------
     # Dependence / latency checks
@@ -243,35 +281,16 @@ class ScheduleOracle:
 
     def _slots(
         self, replayable: List[Tuple[int, int, str]]
-    ) -> List[Tuple[int, int, Tuple[Tuple[Tuple[int, object], ...], ...]]]:
-        """Flatten ops into per-OR-tree choice slots at absolute cycles.
-
-        An OR-tree contributes one slot with one choice per option; an
-        AND/OR-tree contributes one slot per sub-OR-tree (each must be
-        satisfied independently -- sound because the translator enforces
-        sibling disjointness).  Each choice is the option's usages as
-        ``(absolute cycle, resource)`` keys.
-        """
-        slots = []
-        for index, cycle, class_name in sorted(
-            replayable, key=lambda item: (item[1], item[0])
-        ):
-            constraint = self.mdes.op_classes[class_name].constraint
-            trees: Sequence[OrTree]
-            if isinstance(constraint, AndOrTree):
-                trees = constraint.or_trees
-            else:
-                trees = (constraint,)
-            for tree in trees:
-                choices = tuple(
-                    tuple(
-                        (cycle + usage.time, usage.resource)
-                        for usage in option.usages
-                    )
-                    for option in tree.options
-                )
-                slots.append((index, cycle, choices))
-        return slots
+    ) -> List[Tuple[int, int, _Choices]]:
+        """One ``(index, cycle, choices)`` slot per OR-tree of each op,
+        ops in (cycle, index) order."""
+        return [
+            (index, cycle, choices)
+            for index, cycle, class_name in sorted(
+                replayable, key=lambda item: (item[1], item[0])
+            )
+            for choices in self._choices[class_name]
+        ]
 
     def _replay_resources(
         self, schedule: BlockSchedule,
@@ -291,24 +310,24 @@ class ScheduleOracle:
             if budget[0] <= 0:
                 raise _BudgetExhausted
             budget[0] -= 1
-            op_index, _, choices = slots[position]
+            op_index, cycle, choices = slots[position]
             conflicts: List[Tuple[int, object, int]] = []
             for choice in choices:
                 clash = None
-                for abs_cycle, resource in choice:
-                    holder = busy.get((abs_cycle, resource.index))
+                for time, resource_index, resource in choice:
+                    holder = busy.get((cycle + time, resource_index))
                     if holder is not None:
-                        clash = (abs_cycle, resource, holder)
+                        clash = (cycle + time, resource, holder)
                         break
                 if clash is not None:
                     conflicts.append(clash)
                     continue
-                for abs_cycle, resource in choice:
-                    busy[(abs_cycle, resource.index)] = op_index
+                for time, resource_index, _ in choice:
+                    busy[(cycle + time, resource_index)] = op_index
                 if admit(position + 1):
                     return True
-                for abs_cycle, resource in choice:
-                    del busy[(abs_cycle, resource.index)]
+                for time, resource_index, _ in choice:
+                    del busy[(cycle + time, resource_index)]
             if position > deepest[0]:
                 deepest[0] = position
                 deepest_conflicts[:] = conflicts

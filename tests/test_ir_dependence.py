@@ -1,5 +1,7 @@
 """Tests for IR operations and dependence construction."""
 
+import pytest
+
 from repro.ir.block import BasicBlock
 from repro.ir.dependence import (
     ANTI,
@@ -143,8 +145,23 @@ class TestControlDependences:
 
 
 class TestGraphBookkeeping:
-    def test_edge_count_and_dedup(self):
-        a = Operation(0, "ADD", ("r1",), ())
-        b = Operation(1, "SUB", ("r2",), ("r1", "r1"))
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(
+            Operation(0, "ADD", ("r1",), ()),
+            Operation(1, "SUB", ("r2",), ("r1", "r1")),
+            id="flow",
+        ),
+        pytest.param(
+            Operation(0, "ADD", ("r3",), ("r1", "r2")),
+            Operation(1, "SUB", ("r1", "r2"), ()),
+            id="anti",
+        ),
+        pytest.param(
+            Operation(0, "ADD", ("r1", "r2"), ()),
+            Operation(1, "SUB", ("r1", "r2"), ()),
+            id="output",
+        ),
+    ])
+    def test_edge_count_and_dedup(self, a, b):
         graph = build_dependence_graph(block_of(a, b), unit_latency)
         assert graph.edge_count() == 1

@@ -12,11 +12,14 @@ The profiling layer's contracts:
 * trace JSONL round-trips spans with nested attrs bit-for-bit;
 * ``memory=True`` spans record tracemalloc peak/net bytes, child peaks
   propagate into parents, and the figures surface in the obs summary
-  and Prometheus exposition.
+  and Prometheus exposition;
+* ``obs.disable_memory()`` stops the tracing a memory span started, and
+  only that.
 """
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -27,6 +30,10 @@ from repro.service import BatchConfig, schedule_batch
 from tests.conftest import shared_workload
 
 N_WORKERS = max(2, int(os.environ.get("REPRO_BATCH_WORKERS", "2")))
+
+#: Whether allocations were traced before any test ran (``-X
+#: tracemalloc``): such tracing is not ``repro.obs``'s to stop.
+_TRACED_BY_INTERPRETER = tracemalloc.is_tracing()
 
 
 @pytest.fixture(autouse=True)
@@ -310,6 +317,35 @@ class TestMemorySpans:
         (parsed,) = obs.trace_from_jsonl(obs.trace_to_jsonl(obs.TRACER))
         assert parsed.attrs["mem_peak_bytes"] >= 1 << 16
         assert json.dumps(parsed.to_dict())  # still JSON-serializable
+
+    @pytest.mark.skipif(
+        _TRACED_BY_INTERPRETER, reason="the interpreter traces allocations"
+    )
+    def test_disable_memory_stops_the_tracing_it_started(self):
+        obs.enable()
+        obs.enable_memory()
+        obs.reset()
+        with obs.span("traced", memory=True):
+            assert tracemalloc.is_tracing()
+        obs.disable_memory()
+        assert not tracemalloc.is_tracing()
+
+    def test_disable_memory_leaves_other_tracing_alone(self):
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            obs.enable()
+            obs.enable_memory()
+            obs.reset()
+            with obs.span("traced", memory=True) as sp:
+                blob = bytearray(1 << 16)
+                del blob
+            assert sp.attrs["mem_peak_bytes"] >= 1 << 16
+            obs.disable_memory()
+            assert tracemalloc.is_tracing()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
 
 
 class TestFormatting:
