@@ -39,7 +39,7 @@ def test_sweep_throughput_regenerate(results_dir, benchmark):
         for count in FLEET_SIZES:
             config = SweepConfig(
                 family=FAMILY, count=count, seed=SEED, ops=OPS,
-                workers=1, verify=False,
+                verify=False,
             )
             cache = DescriptionCache(
                 maxsize=SWEEP_CACHE_SIZE, name="bench-sweep"

@@ -10,8 +10,8 @@ tier use.  The walk-through:
 
 1. compile a machine to its low-level (LMDES) form with one call;
 2. schedule a workload in-process (`api.schedule`);
-3. shard the same workload across a process pool with retries, a
-   per-chunk timeout, and typed error reporting (`api.schedule_batch`);
+3. schedule the same workload in chunks with retries, a persistent
+   disk cache, and typed error reporting (`api.schedule_batch`);
 4. inject a seeded fault profile and show the recovered run is
    bit-for-bit identical to the clean one.
 
@@ -49,18 +49,16 @@ def main():
     with tempfile.TemporaryDirectory() as cache_dir:
         config = api.BatchConfig(
             backend="bitvector",
-            workers=2,
             chunk_size=8,
             cache_dir=cache_dir,
             retry=api.RetryPolicy(retries=2, seed=42),
-            timeout=api.TimeoutPolicy(chunk_seconds=30.0),
             on_error="report",
         )
         request = api.BatchRequest(
             machine=MACHINE, blocks=blocks, config=config,
         )
 
-        # 3. The service path: chunked, pooled, disk-cached.
+        # 3. The service path: chunked, retried, disk-cached.
         clean = api.schedule_batch(request)
         print(f"batch:  {clean.ops} ops across "
               f"{clean.result.chunk_count} chunks, "
@@ -69,14 +67,17 @@ def main():
             print(f"  quarantined block {failure.block_index}: "
                   f"{failure.error_type}")
 
-        # 4. Same run under a seeded fault profile: chunk 0 suffers a
-        #    transient scheduling error, chunk 1's worker crashes.
-        #    (Equivalent to REPRO_FAULTS="sched@0;crash@1" in the env.)
-        with faults.injected(faults.parse_faults("sched@0;crash@1")):
+        # 4. Same run under a seeded fault profile: chunk 0 finds the
+        #    published cache artifact corrupted (the disk tier
+        #    quarantines and rebuilds it), and chunk 1 suffers a
+        #    transient scheduling error.
+        #    (Equivalent to REPRO_FAULTS="corrupt@0;sched@1" in the env.)
+        with faults.injected(faults.parse_faults("corrupt@0;sched@1")):
             recovered = api.schedule_batch(request)
         print(f"faulted: {recovered.resilience['retries']} retry(ies), "
-              f"{recovered.resilience['pool_restarts']} pool restart(s), "
-              f"{recovered.resilience['quarantined']} quarantined")
+              f"{recovered.cache['disk_quarantined']} cache artifact(s) "
+              f"quarantined, {recovered.resilience['quarantined']} "
+              f"block(s) quarantined")
 
         identical = (
             recovered.signature() == clean.signature()

@@ -21,8 +21,7 @@ your problem::
         api.BatchRequest(
             machine="SuperSPARC", blocks=blocks,
             config=api.BatchConfig(
-                workers=4, retry=api.RetryPolicy(retries=2),
-                on_error="report",
+                retry=api.RetryPolicy(retries=2), on_error="report",
             ),
         )
     )
@@ -52,7 +51,6 @@ from repro.engine.registry import create_engine, engine_names, get_engine_spec
 from repro.errors import (
     BackpressureError,
     CacheCorruptionError,
-    ChunkTimeoutError,
     DeadlineExceededError,
     HmdesError,
     MdesError,
@@ -64,7 +62,6 @@ from repro.errors import (
     ServiceError,
     ShuttingDownError,
     VerificationError,
-    WorkerCrashError,
 )
 from repro.hmdes import load_mdes
 from repro.lowlevel.compiled import CompiledMdes, compile_mdes
@@ -91,7 +88,6 @@ from repro.service import (
     RetryPolicy,
     ScheduleRequest,
     ScheduleResponse,
-    TimeoutPolicy,
 )
 from repro.service import schedule_batch as _service_schedule_batch
 from repro.obs.prof import flamegraph, hot_spans, self_seconds
@@ -330,7 +326,6 @@ __all__ = [
     "BatchSubmitter",
     "BlockFailure",
     "RetryPolicy",
-    "TimeoutPolicy",
     # Results
     "BlockSchedule",
     "RunResult",
@@ -362,8 +357,6 @@ __all__ = [
     "RequestError",
     "SchedulingError",
     "ServiceError",
-    "ChunkTimeoutError",
-    "WorkerCrashError",
     "CacheCorruptionError",
     "BackpressureError",
     "QueueFullError",

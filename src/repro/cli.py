@@ -17,18 +17,18 @@ Commands:
   [--time-budget S] [--max-block-ops N]`` -- schedule a small workload
   with the branch-and-bound exact scheduler and report the per-block
   optimality gap against the list-scheduler seed.
-* ``schedule-batch (--machine NAME | --trace FILE) [--workers N]
-  [--cache-dir DIR] [--retries N] [--chunk-timeout S]
-  [--on-error raise|report] [options]`` -- shard a workload across a
-  process pool with a persistent on-disk description cache, retrying
-  recoverable faults and quarantining poisoned blocks.
+* ``schedule-batch (--machine NAME | --trace FILE) [--chunk-size N]
+  [--cache-dir DIR] [--retries N] [--on-error raise|report]
+  [options]`` -- schedule a workload in chunks with a persistent
+  on-disk description cache, retrying recoverable faults and
+  quarantining poisoned blocks.
 * ``serve [--host H] [--port P] [--cache-dir DIR] [--prewarm NAME]
   [--max-inflight N] [--per-client N] [--deadline S]`` -- run the
   long-running scheduling service: POST workloads to
   ``/v1/schedule``, every request served out of one warm description
   cache, with ``/metrics`` and ``/healthz`` wired to the obs and
   resilience layers.
-* ``sweep [--family NAME] [--count N] [--seed N] [--workers N]
+* ``sweep [--family NAME] [--count N] [--seed N]
   [--exact-sample N] [--out FILE] [--json]`` -- schedule one fixed
   workload across a seeded synthetic machine fleet
   (``synth:<family>:<seed>:<index>``), verify every variant against
@@ -534,7 +534,7 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
 
     from repro import api, obs
     from repro.errors import MdesError, RequestError, ServiceError
-    from repro.service import BatchConfig, RetryPolicy, TimeoutPolicy
+    from repro.service import BatchConfig, RetryPolicy
 
     if args.backend and args.lmdes:
         print(
@@ -553,11 +553,9 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
         lmdes_path=args.lmdes,
         stage=args.stage,
-        workers=args.workers,
         chunk_size=args.chunk_size,
         cache_dir=args.cache_dir,
         retry=RetryPolicy(retries=args.retries),
-        timeout=TimeoutPolicy(chunk_seconds=args.chunk_timeout),
         on_error=args.on_error,
         verify=args.verify,
     )
@@ -593,7 +591,6 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
             {
                 "machine": result.machine_name,
                 "backend": result.backend,
-                "workers": result.workers,
                 "chunks": result.chunk_count,
                 "blocks": len(result.schedules),
                 "ops": result.total_ops,
@@ -603,20 +600,9 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
                 "options_per_attempt": stats.options_per_attempt,
                 "checks_per_attempt": stats.checks_per_attempt,
                 "wall_seconds": elapsed,
-                "cache": {
-                    "memory_hits": cache.hits,
-                    "memory_misses": cache.misses,
-                    "disk_hits": cache.disk_hits,
-                    "disk_misses": cache.disk_misses,
-                    "disk_stores": cache.disk_stores,
-                    "disk_quarantined": cache.disk_quarantined,
-                },
+                "cache": result.cache_summary(),
                 "resilience": {
-                    "retries": result.retries,
-                    "timeouts": result.timeouts,
-                    "pool_restarts": result.pool_restarts,
-                    "degraded": result.degraded,
-                    "quarantined": result.quarantined,
+                    **result.resilience_summary(),
                     "errors": [f.to_dict() for f in result.errors],
                 },
                 "verify": (
@@ -629,8 +615,7 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
         ))
         return 0
     print(f"machine:             {result.machine_name} "
-          f"(backend {result.backend}, {result.workers} worker(s), "
-          f"{result.chunk_count} chunks)")
+          f"(backend {result.backend}, {result.chunk_count} chunks)")
     print(f"operations:          {result.total_ops}")
     print(f"schedule cycles:     {result.total_cycles}")
     print(f"attempts/op:         {result.attempts_per_op:.2f}")
@@ -648,12 +633,9 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
         )
         print(f"oracle verification: {verdict} "
               f"({report.blocks_checked} blocks replayed)")
-    if (result.retries or result.timeouts or result.pool_restarts
-            or result.degraded or result.errors):
+    if result.retries or result.errors:
         print(f"resilience:          {result.retries} retry(ies), "
-              f"{result.timeouts} timeout(s), {result.pool_restarts} "
-              f"pool restart(s), {result.quarantined} quarantined"
-              f"{', degraded to serial' if result.degraded else ''}")
+              f"{result.quarantined} quarantined")
         for failure in result.errors:
             print(f"  quarantined block {failure.block_index}: "
                   f"{failure.error_type}: {failure.message}")
@@ -673,7 +655,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workload_seed=args.workload_seed,
         backend=args.backend,
         stage=args.stage,
-        workers=args.workers,
         verify=not args.no_verify,
         exact_sample=args.exact_sample,
         cache_dir=args.cache_dir,
@@ -821,7 +802,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache_dir,
-        workers=args.workers,
         chunk_size=args.chunk_size,
         queue=QueuePolicy(
             max_inflight=args.max_inflight,
@@ -836,7 +816,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_seconds=args.drain,
     )
     print(f"repro serve: http://{args.host}:{args.port} "
-          f"(workers={args.workers}, max_inflight={args.max_inflight}, "
+          f"(max_inflight={args.max_inflight}, "
           f"prewarm={prewarm_names or 'none'})")
     serve(create_app(config), host=args.host, port=args.port)
     return 0
@@ -1131,8 +1111,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch = commands.add_parser(
         "schedule-batch",
         help=(
-            "schedule a workload sharded across a process pool, with a "
-            "persistent on-disk description cache"
+            "schedule a workload in chunks, with a persistent on-disk "
+            "description cache"
         ),
     )
     batch.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
@@ -1148,10 +1128,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=engine_names(), default=None,
         help="constraint-check backend (default: bitvector)",
     )
-    batch.add_argument("--workers", type=int, default=1,
-                       help="process-pool size (1 = in-process)")
     batch.add_argument("--chunk-size", type=int, default=32,
-                       help="blocks per dispatched task")
+                       help="blocks per chunk, the unit of retry")
     batch.add_argument(
         "--cache-dir", default=None,
         help=(
@@ -1162,13 +1140,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--retries", type=int, default=0,
         help="extra attempts per chunk on retryable failures",
-    )
-    batch.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help=(
-            "per-chunk wall-clock budget on the pool path; a chunk "
-            "past it is retried on a fresh pool"
-        ),
     )
     batch.add_argument(
         "--on-error", choices=("raise", "report"), default="raise",
@@ -1191,7 +1162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None, metavar="FILE",
         help=(
             "write the run's span tree as JSONL, including per-chunk "
-            "worker spans (forces obs on)"
+            "spans (forces obs on)"
         ),
     )
 
@@ -1223,10 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--stage", type=int, default=4,
                        help="transformation stage 0-4")
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="submitter threads (results identical at any value)",
-    )
     sweep.add_argument(
         "--no-verify", action="store_true",
         help="skip the per-variant oracle replay",
@@ -1263,10 +1230,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent description-cache directory shared by all "
              "requests",
     )
-    serve.add_argument("--workers", type=int, default=1,
-                       help="batch-pool size for /v1/schedule/batch runs")
     serve.add_argument("--chunk-size", type=int, default=32,
-                       help="blocks per dispatched batch task")
+                       help="blocks per batch chunk")
     serve.add_argument(
         "--max-inflight", type=int, default=64,
         help="admitted requests across all clients before 429",

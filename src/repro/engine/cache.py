@@ -264,33 +264,6 @@ class DescriptionCache:
 
         return self._lookup(key, build)
 
-    def seed_compiled(
-        self,
-        machine_name: str,
-        token: str,
-        rep: str,
-        stage: int,
-        bitvector: bool,
-        reduce: bool,
-        compiled: CompiledMdes,
-    ) -> None:
-        """Insert a compiled description under its exact lookup key.
-
-        Used by pool workers to pre-populate the cache with the
-        description the parent compiled and passed through the pool
-        initializer, so the first :meth:`compiled` call memory-hits
-        instead of loading the LMDES artifact or recompiling.  Seeding
-        is a plain insertion: it touches no hit/miss counters and emits
-        no spans, which keeps worker trace trees identical to unseeded
-        runs.
-        """
-        key = ("lmdes", machine_name, token, rep, stage, bitvector, reduce)
-        self._entries[key] = compiled
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------

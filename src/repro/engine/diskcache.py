@@ -9,8 +9,9 @@ LMDES JSON artifacts (:mod:`repro.lowlevel.serialize`), keyed by a
 the compiled form -- representation, transformation stage, bit-vector
 packing, Eichenberger reduction, and :data:`LMDES_VERSION`.  Warm
 processes ``load_lmdes`` instead of re-running the HMDES parser and the
-transformation pipeline, which is what makes a pool of short-lived
-scheduling workers cheap to restart.
+transformation pipeline, which is what makes a fresh CLI run or server
+process cheap to start, and lets several server processes share one
+cache directory.
 
 Robustness rules:
 

@@ -85,10 +85,6 @@ class ServiceError(ReproError):
         self.failures = list(failures)
 
 
-class ChunkTimeoutError(ServiceError):
-    """One dispatched chunk exceeded its wall-clock budget."""
-
-
 class VerificationError(ServiceError):
     """A finished schedule failed independent oracle verification.
 
@@ -101,10 +97,6 @@ class VerificationError(ServiceError):
     def __init__(self, message, report=None, failures=()):
         super().__init__(message, failures)
         self.report = report
-
-
-class WorkerCrashError(ServiceError):
-    """A pool worker died (or a crash was injected) mid-chunk."""
 
 
 class BackpressureError(ServiceError):

@@ -4,9 +4,9 @@ Two name spaces resolve here: the hand-written processors (the paper's
 four plus retargeting demos), and synthetic fleet variants addressed as
 ``synth:<family>:<seed>:<index>`` (see :mod:`repro.machines.synth`).
 Synth resolution is deterministic -- the same name builds byte-identical
-HMDES source in any process -- so batch-pool workers and the server can
-rebuild any variant from its name alone, exactly as they do for the
-built-ins.
+HMDES source in any process -- so the server, the sweep and the disk
+cache can rebuild or find any variant from its name alone, exactly as
+they do for the built-ins.
 """
 
 from __future__ import annotations

@@ -474,8 +474,8 @@ def build_variant(family: str, seed: int, index: int) -> Machine:
 
     The same ``(family, seed, index)`` triple always yields a machine
     with byte-identical HMDES source, so content tokens match across
-    processes -- which is what lets batch-pool workers and the server
-    rebuild a synth machine from its registry name alone.
+    processes -- which is what lets the server and the disk cache
+    rebuild or find a synth machine from its registry name alone.
     """
     spec = get_family(family)
     rng = random.Random(f"{_STREAM}:{family}:{seed}:{index}")

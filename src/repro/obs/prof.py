@@ -17,8 +17,8 @@ Three consumers:
 * :func:`flamegraph` -- collapsed-stack export in the de-facto standard
   ``root;child;leaf <count>`` format consumed by flamegraph.pl,
   speedscope, and inferno.  Counts are integer self-time microseconds;
-  identical stacks are merged, so the output is invariant under the
-  worker-count-invariant span merge of the batch service.
+  identical stacks are merged, so a batch run's many chunk spans
+  collapse into one ``service:batch;batch:chunk`` line.
 * :func:`memory_phases` -- per-name peak/net ``tracemalloc`` bytes from
   spans opened with ``memory=True`` (see :func:`repro.obs.enable_memory`).
 

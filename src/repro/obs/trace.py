@@ -7,16 +7,17 @@ indexes).  Spans nest through a thread-local stack: entering a span
 makes it the parent of every span opened inside it, so the trace of one
 CLI invocation is a tree whose shape *is* the pipeline's call structure.
 
-Two extra affordances exist for the batch service's process pool:
+Two extra affordances exist for work whose trace may be thrown away or
+moved under another parent:
 
 * :meth:`Tracer.capture` runs a region against a **detached** stack and
-  hands back the finished spans as plain dicts -- what a worker process
-  sends home with its chunk results (dicts pickle; live spans carry a
-  parent pointer into the worker's stack and must not).
+  hands back the finished spans as plain dicts -- what a batch chunk
+  attempt returns, so a failed attempt's spans are simply dropped, and
+  what a server thread hands back to the request that waited on it.
 * :meth:`Tracer.attach` grafts such dicts back under the current span.
-  The driver attaches chunk traces in chunk order, so the merged tree is
-  identical for 1 and N workers -- the same determinism contract the
-  stats fold has.
+  The batch driver attaches each successful chunk's trace in chunk
+  order, so a recovered run's tree matches a clean run's -- the same
+  determinism contract the stats fold has.
 
 Spans can additionally carry :mod:`tracemalloc` memory accounting
 (``mem_peak_bytes`` / ``mem_net_bytes`` attributes) when opened with

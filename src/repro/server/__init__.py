@@ -5,7 +5,7 @@ invocation before this package rebuilt the warm caches per process.
 ``repro.server`` keeps one process up instead: POST a workload +
 machine + backend, get a schedule, with every request served out of
 one process-wide warm description cache, concurrent requests
-micro-batched through the fault-tolerant batch pool, and the
+micro-batched through the fault-tolerant batch driver, and the
 observability/resilience layers wired to ``/metrics`` and
 ``/healthz``.
 

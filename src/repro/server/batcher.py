@@ -4,9 +4,9 @@ Concurrent ``POST /v1/schedule`` requests that are *compatible* -- same
 machine, backend, stage, direction, and verify flag
 (:meth:`ScheduleRequest.batch_key`) -- are concatenated into a single
 :class:`~repro.service.models.BatchRequest` and driven through the
-fault-tolerant batch pool together, then split back apart by block
-range.  One description compile, one engine warm-up, one pool dispatch
-amortized over every rider.
+fault-tolerant batch driver together, then split back apart by block
+range.  One description lookup and one batch run amortized over every
+rider.
 
 Splitting is lossless because block scheduling is independent per
 block: a block's schedule is a pure function of (machine, backend,
@@ -68,8 +68,8 @@ class MicroBatcher:
             and returning ``(BatchResult, span_dicts)`` -- normally
             :meth:`BatchSubmitter.submit_captured`; injectable so tests
             can interpose slow or failing runs.
-        base_config: Server-side :class:`BatchConfig` defaults (pool
-            shape, cache dir); per-request fields (backend, stage,
+        base_config: Server-side :class:`BatchConfig` defaults (chunk
+            size, cache dir); per-request fields (backend, stage,
             direction, verify) are overlaid from the batch key.
         window_seconds: How long the first rider holds the window open
             for others to join.  Zero still batches whatever lands in
@@ -258,7 +258,6 @@ class MicroBatcher:
         self, request: ScheduleRequest, result, schedules, errors,
         seconds: float, note: dict,
     ) -> ScheduleResponse:
-        cache = result.cache_stats
         return ScheduleResponse(
             machine=request.machine_name,
             backend=request.backend_name,
@@ -275,21 +274,8 @@ class MicroBatcher:
                 result.verify_report.summary()
                 if result.verify_report is not None else None
             ),
-            resilience={
-                "retries": result.retries,
-                "timeouts": result.timeouts,
-                "pool_restarts": result.pool_restarts,
-                "degraded": result.degraded,
-                "quarantined": result.quarantined,
-            },
-            cache={
-                "memory_hits": cache.hits,
-                "memory_misses": cache.misses,
-                "disk_hits": cache.disk_hits,
-                "disk_misses": cache.disk_misses,
-                "disk_stores": cache.disk_stores,
-                "disk_quarantined": cache.disk_quarantined,
-            },
+            resilience=result.resilience_summary(),
+            cache=result.cache_summary(),
             batched=note,
             request_id=request.request_id,
             result=result,

@@ -18,6 +18,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.registry import engine_names, get_engine_spec
+from repro.errors import DeadlineExceededError
 from repro.machines import MACHINE_NAMES, get_machine
 from repro.server.batcher import MicroBatcher
 from repro.server.queue import Admission, QueuePolicy
@@ -40,9 +41,7 @@ class ServerConfig:
             in-process test client).
         cache_dir: Disk tier behind the warm description cache;
             ``None`` keeps the cache memory-only.
-        workers: Pool width for batch runs (1 = in-process, the
-            all-requests-share-one-warm-cache sweet spot).
-        chunk_size: Blocks per dispatched chunk.
+        chunk_size: Blocks per batch chunk.
         queue: Admission limits (bounded queue + per-client quota).
         window_seconds: Micro-batching window.
         max_batch_blocks: Early-flush bound on one window.
@@ -58,7 +57,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8181
     cache_dir: Optional[str] = None
-    workers: int = 1
     chunk_size: int = 32
     queue: QueuePolicy = field(default_factory=QueuePolicy)
     window_seconds: float = 0.004
@@ -71,9 +69,7 @@ class ServerConfig:
     def batch_defaults(self) -> BatchConfig:
         """The server-side :class:`BatchConfig` base for every run."""
         return BatchConfig(
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            cache_dir=self.cache_dir,
+            chunk_size=self.chunk_size, cache_dir=self.cache_dir,
         )
 
 
@@ -97,10 +93,7 @@ class ServerState:
         self.requests_total = 0
         self.errors_total = 0
         #: Folded recovery totals from every batch run served.
-        self.resilience = {
-            "retries": 0, "timeouts": 0, "pool_restarts": 0,
-            "degraded_runs": 0, "quarantined": 0,
-        }
+        self.resilience = {"retries": 0, "quarantined": 0}
 
     # ------------------------------------------------------------------
     # Lifespan
@@ -150,7 +143,7 @@ class ServerState:
         """``POST /v1/schedule``: admission, then the batcher.
 
         Exact-backend requests bypass the micro-batcher (the batch
-        pool drives the list scheduler) and run directly against the
+        driver runs the list scheduler) and run directly against the
         warm cache in the submitter's thread pool.
         """
         request = self._with_default_deadline(request.with_request_id())
@@ -180,7 +173,9 @@ class ServerState:
         self.admission.admit(request.client)
         started = time.perf_counter()
         try:
-            result, spans = await self.submitter.submit_captured(request)
+            result, spans = await self._within_deadline(
+                request, self.submitter.submit_captured(request)
+            )
             response = ScheduleResponse.from_batch(
                 request, result,
                 wall_seconds=time.perf_counter() - started,
@@ -205,31 +200,35 @@ class ServerState:
                 response = api.schedule(request, cache=self.submitter.cache)
             return response, capture.spans
 
-        waiter = loop.run_in_executor(self.submitter._executor, _run)
-        if request.deadline_seconds is not None:
-            try:
-                response, spans = await asyncio.wait_for(
-                    asyncio.shield(waiter), request.deadline_seconds
-                )
-            except asyncio.TimeoutError:
-                from repro.errors import DeadlineExceededError
-
-                raise DeadlineExceededError(
-                    f"request {request.request_id or '<anonymous>'} "
-                    f"missed its {request.deadline_seconds:g}s deadline"
-                ) from None
-        else:
-            response, spans = await waiter
+        response, spans = await self._within_deadline(
+            request, loop.run_in_executor(self.submitter._executor, _run)
+        )
         response.captured_spans = spans
         return response
 
+    @staticmethod
+    async def _within_deadline(request, waiter):
+        """Await ``waiter``; past the request's deadline, a 504.
+
+        The run itself is shielded and keeps going: only the client
+        stops waiting for it.
+        """
+        if request.deadline_seconds is None:
+            return await waiter
+        try:
+            return await asyncio.wait_for(
+                asyncio.shield(waiter), request.deadline_seconds
+            )
+        except asyncio.TimeoutError:
+            raise DeadlineExceededError(
+                f"request {request.request_id or '<anonymous>'} "
+                f"missed its {request.deadline_seconds:g}s deadline"
+            ) from None
+
     def _fold_resilience(self, response: ScheduleResponse) -> None:
         info = response.resilience or {}
-        self.resilience["retries"] += info.get("retries", 0)
-        self.resilience["timeouts"] += info.get("timeouts", 0)
-        self.resilience["pool_restarts"] += info.get("pool_restarts", 0)
-        self.resilience["degraded_runs"] += int(bool(info.get("degraded")))
-        self.resilience["quarantined"] += info.get("quarantined", 0)
+        for key in self.resilience:
+            self.resilience[key] += info.get(key, 0)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,7 +247,6 @@ class ServerState:
             "errors_total": self.errors_total,
             "admission": self.admission.summary(),
             "pool": {
-                "workers": self.config.workers,
                 "submit_threads": self.config.submit_threads,
                 "inflight_runs": self.submitter.inflight,
                 "completed_runs": self.submitter.completed,

@@ -27,7 +27,7 @@ from repro.service.models import (
     BatchRequest,
     ScheduleRequest,
 )
-from repro.service.resilience import RetryPolicy, TimeoutPolicy
+from repro.service.resilience import RetryPolicy
 from repro.transforms.pipeline import FINAL_STAGE
 from repro.workloads import WorkloadConfig
 
@@ -47,11 +47,9 @@ _SCHEDULE_KEYS = frozenset((
 _BATCH_KEYS = _SCHEDULE_KEYS | {"config"}
 
 #: Keys the wire ``"config"`` object may set.  Deliberately narrower
-#: than :class:`BatchConfig`: placement knobs (``cache_dir``), the pool
-#: width (``workers``) and the fault-injection surface stay server-side.
-_CONFIG_KEYS = frozenset((
-    "chunk_size", "on_error", "retries", "chunk_timeout_seconds",
-))
+#: than :class:`BatchConfig`: placement knobs (``cache_dir``) and the
+#: fault-injection surface stay server-side.
+_CONFIG_KEYS = frozenset(("chunk_size", "on_error", "retries"))
 
 
 def _reject_unknown(payload: Dict[str, Any], allowed, what: str) -> None:
@@ -195,16 +193,6 @@ def _decode_config(
             raise RequestError(
                 f"retries must be an integer: {payload['retries']!r}"
             ) from None
-    if "chunk_timeout_seconds" in payload:
-        try:
-            overrides["timeout"] = TimeoutPolicy(
-                chunk_seconds=float(payload["chunk_timeout_seconds"])
-            )
-        except (TypeError, ValueError):
-            raise RequestError(
-                "chunk_timeout_seconds must be a number: "
-                f"{payload['chunk_timeout_seconds']!r}"
-            ) from None
     try:
         return replace(base, **overrides)
     except (TypeError, ValueError) as exc:
@@ -216,8 +204,8 @@ def decode_batch_request(
 ) -> Tuple[BatchRequest, bool]:
     """Decode a ``POST /v1/schedule/batch`` body.
 
-    ``base_config`` carries the server-side defaults (cache dir, pool
-    shape); the body's ``"config"`` object overrides only the
+    ``base_config`` carries the server-side defaults (cache dir, chunk
+    size); the body's ``"config"`` object overrides only the
     client-safe subset.
     """
     payload = _expect(payload, "request body")

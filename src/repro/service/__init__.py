@@ -1,28 +1,27 @@
 """Batch-scheduling service layer.
 
-Shards a workload of basic blocks across a process pool, with each
-worker warming its compiled machine description from the persistent
-on-disk LMDES cache instead of re-running the translate/transform
-pipeline -- the paper's "load the shipped low-level file quickly"
-workflow (section 4) applied to a pool of scheduling workers::
+Schedules a workload of basic blocks in chunks, in process, loading the
+compiled machine description from the persistent on-disk LMDES cache
+instead of re-running the translate/transform pipeline when the
+in-memory cache misses -- the paper's "load the shipped low-level file
+quickly" workflow (section 4)::
 
     from repro.service import BatchConfig, RetryPolicy, schedule_batch
 
     result = schedule_batch(
         "SuperSPARC", blocks,
-        BatchConfig(backend="bitvector", workers=4,
-                    cache_dir=".mdes-cache",
+        BatchConfig(backend="bitvector", cache_dir=".mdes-cache",
                     retry=RetryPolicy(retries=2)),
     )
-    result.signature()     # bit-for-bit identical for any worker count
-    result.stats           # CheckStats, folded across workers
+    result.signature()     # one digest per block, in input order
+    result.stats           # CheckStats, folded across chunks
     result.cache_stats     # LRU + disk-tier hit/miss counters
     result.errors          # typed BlockFailure quarantine records
 
 The service is fault-tolerant by construction
-(:mod:`repro.service.resilience`): worker crashes, chunk timeouts,
-transient scheduling errors, and corrupt cache entries are retried or
-recovered without changing the result, and the deterministic
+(:mod:`repro.service.resilience`): transient scheduling errors and
+corrupt cache entries are retried without changing the result, blocks
+that fail deterministically are quarantined, and the deterministic
 fault-injection harness (:mod:`repro.service.faults`, gated by
 ``REPRO_FAULTS``) exists so tests can prove exactly that.
 """
@@ -40,7 +39,6 @@ from repro.service.models import (
 from repro.service.resilience import (
     BlockFailure,
     RetryPolicy,
-    TimeoutPolicy,
     is_retryable,
 )
 from repro.service.submit import BatchSubmitter
@@ -58,7 +56,6 @@ __all__ = [
     "RetryPolicy",
     "ScheduleRequest",
     "ScheduleResponse",
-    "TimeoutPolicy",
     "is_retryable",
     "parse_faults",
     "schedule_batch",

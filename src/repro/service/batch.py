@@ -1,83 +1,59 @@
-"""The fault-tolerant parallel batch-scheduling driver.
+"""The fault-tolerant batch-scheduling driver.
 
-This is the "serve many scheduling requests fast" architecture: a
-workload of basic blocks is split into chunks, the chunks are
-dispatched across a ``concurrent.futures`` process pool, and the
-results are reassembled in the input order with every worker's
-:class:`CheckStats` and :class:`CacheStats` folded back through their
-``__iadd__`` merges.
+A workload of basic blocks is split into chunks, the chunks are
+scheduled in process one after another, and the results are reassembled
+in input order with every chunk's :class:`CheckStats` and
+:class:`CacheStats` folded through their ``__iadd__`` merges.
 
 Determinism is the design center, because the differential harness
 asserts bit-for-bit identical schedules and identical summed statistics
-for 1 worker, N workers, and the plain serial path:
+for ``schedule_batch`` and a hand-chunked serial reference:
 
-* Chunks are formed purely from the input order and ``chunk_size``;
-  results come back keyed by chunk index, so the reassembled schedule
-  list is independent of worker scheduling.
+* Chunks are formed purely from the input order and ``chunk_size``.
 * Every chunk gets a **fresh engine instance** over the (shared)
   compiled description.  Engine-level memo state -- the automaton
   backend's transition table -- therefore starts empty per chunk, which
-  makes the summed stats a pure function of the chunk partition rather
-  than of how chunks happened to land on workers.
-* Workers never compile what the parent already holds: the parent
-  compiles the description once and hands it to every worker through
-  the pool initializer (inherited as-is under ``fork``, pickled once
-  per worker otherwise).  When seeding is skipped, workers warm up
-  from the persistent disk cache
-  (:class:`~repro.engine.diskcache.DiskDescriptionCache`), which
-  ``load_lmdes``'s the compiled description instead of re-parsing HMDES
-  and re-running the transformation pipeline -- the paper's
-  ship-the-low-level-file workflow applied to our own pool.
+  makes the summed stats a pure function of the chunk partition.
+* Each chunk's trace is captured against a detached stack and grafted
+  back under the ``service:batch`` span only when the attempt succeeds.
 
 The same properties make the driver *fault-tolerant* without weakening
 the contract (:mod:`repro.service.resilience`): a failed chunk
-attempt's partial outcome is discarded wholesale and the chunk is
-re-dispatched against a fresh engine, so the outcome that finally lands
-is byte-identical to a clean run's.  Recovery is layered:
+attempt's partial outcome -- schedules, stats, spans -- is discarded
+wholesale and the chunk is re-run against a fresh engine, so the outcome
+that finally lands is byte-identical to a clean run's.  Recovery is
+layered:
 
 1. **Chunk retries** -- a retryable failure (transient
-   ``SchedulingError``, worker crash, timeout, cache corruption)
-   consumes one unit of the chunk's :class:`RetryPolicy` budget and the
-   chunk is resubmitted after a deterministic backoff.
-2. **Pool restarts** -- ``BrokenProcessPool`` (a dead worker) or an
-   expired :class:`TimeoutPolicy` budget abandons the pool and
-   resubmits every unfinished chunk to a fresh one, at most
-   ``max_pool_restarts`` times.
-3. **Degradation** -- past that, the run falls back to the in-process
-   serial path and finishes there.
-4. **Isolation** -- a chunk that exhausts its retry budget is probed
+   ``SchedulingError``, cache corruption, an ``OSError``) consumes one
+   unit of the chunk's :class:`RetryPolicy` budget and the chunk is
+   re-run after a deterministic backoff.
+2. **Isolation** -- a chunk that exhausts its retry budget is probed
    block by block (fault injection suppressed): deterministically
    failing blocks are quarantined as typed
    :class:`~repro.service.resilience.BlockFailure` records and the
    survivors are re-run as one clean chunk.
 
-Every retry, timeout, restart, degradation, and quarantine emits
-``repro.obs`` counters and a ``resilience:*`` span.
+Every retry and quarantine emits ``repro.obs`` counters and a
+``resilience:*`` span.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.engine.base import QueryEngine
 from repro.engine.cache import CacheStats, DescriptionCache
-from repro.engine.diskcache import (
-    DiskDescriptionCache,
-    is_persistent_token,
-    machine_content_token,
-)
-from repro.engine.registry import create_engine, get_engine_spec
+from repro.engine.diskcache import DiskDescriptionCache
+from repro.engine.registry import create_engine
 from repro.engine.table import TableEngine
-from repro.errors import ChunkTimeoutError, ServiceError, VerificationError
+from repro.errors import ServiceError, VerificationError
 from repro.ir.block import BasicBlock
 from repro.lowlevel.checker import CheckStats
-from repro.lowlevel.compiled import CompiledMdes
 from repro.machines import get_machine
 from repro.scheduler import ListScheduler, BlockSchedule, schedule_workload
 from repro.service import faults
@@ -90,18 +66,10 @@ from repro.service.models import (
     DEFAULT_BACKEND,
     ON_ERROR_MODES,
 )
-from repro.service.resilience import (
-    BlockFailure,
-    RetryPolicy,
-    TimeoutPolicy,
-    is_retryable,
-)
+from repro.service.resilience import BlockFailure, RetryPolicy, is_retryable
 from repro.transforms.pipeline import FINAL_STAGE
 
 logger = logging.getLogger("repro.service.batch")
-
-#: Poll interval for the pool wait loop while a chunk deadline is armed.
-_WAIT_TICK = 0.05
 
 
 @dataclass
@@ -115,7 +83,6 @@ class BatchResult:
 
     machine_name: str
     backend: str
-    workers: int
     chunk_count: int = 0
     total_ops: int = 0
     total_cycles: int = 0
@@ -124,12 +91,6 @@ class BatchResult:
     cache_stats: CacheStats = field(default_factory=CacheStats)
     errors: List[BlockFailure] = field(default_factory=list)
     retries: int = 0
-    timeouts: int = 0
-    pool_restarts: int = 0
-    degraded: bool = False
-    #: Summed per-chunk engine-construction time, in seconds -- the
-    #: setup cost seeding workers with the parent's compile collapses.
-    chunk_setup_seconds: float = 0.0
     #: Oracle report when the run asked for ``BatchConfig.verify``.
     verify_report: Optional[Any] = None
 
@@ -147,56 +108,50 @@ class BatchResult:
         """Digest of every block schedule, in input order."""
         return tuple(schedule.signature() for schedule in self.schedules)
 
+    def resilience_summary(self) -> Dict[str, int]:
+        """The ``resilience`` block of every JSON view of this run."""
+        return {"retries": self.retries, "quarantined": self.quarantined}
+
+    def cache_summary(self) -> Dict[str, int]:
+        """The ``cache`` block of every JSON view of this run."""
+        cache = self.cache_stats
+        return {
+            "memory_hits": cache.hits,
+            "memory_misses": cache.misses,
+            "disk_hits": cache.disk_hits,
+            "disk_misses": cache.disk_misses,
+            "disk_stores": cache.disk_stores,
+            "disk_quarantined": cache.disk_quarantined,
+        }
+
 
 @dataclass
 class _ChunkOutcome:
-    """What one chunk sends back to the driver (picklable).
+    """One successful chunk attempt: what the driver folds in.
 
-    ``spans`` carries the chunk's trace as plain dicts (live spans hold
-    thread-local parent pointers and must not cross the pickle
-    boundary); the driver grafts them back in chunk order, so the merged
-    trace is identical for 1 and N workers.
+    ``spans`` carries the attempt's trace as plain dicts from a detached
+    capture; the driver grafts them under ``service:batch``, so a failed
+    attempt leaves no spans behind.
     """
 
-    index: int
     schedules: List[BlockSchedule]
     stats: CheckStats
     cache_stats: CacheStats
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    setup_seconds: float = 0.0
 
 
 @dataclass
 class _ChunkState:
-    """Driver-side bookkeeping for one chunk's dispatch lifecycle.
+    """Driver-side bookkeeping for one chunk.
 
-    ``submissions`` counts dispatches (it is the fault-injection attempt
-    key and the backoff exponent); ``failures`` counts chunk-level
-    failures charged against the retry budget.  A pool restart
-    resubmits a chunk without charging its budget -- the chunk was
-    never proven bad, its pool was.
+    ``attempts`` counts failed attempts so far: the next attempt's
+    fault-injection key, and the backoff exponent of a retry.
     """
 
     index: int
     blocks: List[BasicBlock]
     offset: int
-    submissions: int = 0
-    failures: int = 0
-    last_error: Optional[BaseException] = None
-
-
-@dataclass
-class _Tally:
-    """Recovery-event counts for one run (folded into the result)."""
-
-    retries: int = 0
-    timeouts: int = 0
-    pool_restarts: int = 0
-    degraded: bool = False
-    #: Cache activity of the parent's seed compile, which runs against
-    #: its own cache -- folded into the result so a seeded run still
-    #: reports its cold store / warm hit / quarantine counters.
-    cache_stats: CacheStats = field(default_factory=CacheStats)
+    attempts: int = 0
 
 
 def _chunk_blocks(
@@ -208,48 +163,8 @@ def _chunk_blocks(
     ]
 
 
-# ----------------------------------------------------------------------
-# Per-chunk execution (runs in the parent or in a pool worker)
-# ----------------------------------------------------------------------
-
-#: Per-process description cache for pool workers, created by
-#: :func:`_init_worker`.  Forked workers deliberately build their own
-#: cache rather than inheriting the parent's, so what a worker holds is
-#: the initializer's seed plus the disk tier, whatever the start method.
-_WORKER_CACHE: Optional[DescriptionCache] = None
-
 #: Per-process memo of LMDES files already loaded (path -> compiled).
 _LMDES_FILES: dict = {}
-
-#: A parent-compiled description for the pool initializer: the
-#: :meth:`DescriptionCache.seed_compiled` key fields and the compiled
-#: form itself.
-_Seed = Tuple[Tuple[str, str, str, int, bool, bool], CompiledMdes]
-
-
-def _init_worker(
-    cache_dir: Optional[str],
-    obs_enabled: bool = False,
-    plan: Optional[faults.FaultPlan] = None,
-    seed: Optional[_Seed] = None,
-    obs_memory: bool = False,
-) -> None:
-    global _WORKER_CACHE
-    if obs_enabled:
-        # Spawned workers start with a fresh module flag; forked ones
-        # inherit it.  Either way, make the worker match the parent.
-        obs.enable()
-    if obs_memory:
-        obs.enable_memory()
-    faults.install(plan)
-    disk = DiskDescriptionCache(cache_dir) if cache_dir else None
-    _WORKER_CACHE = DescriptionCache(disk=disk)
-    if seed is not None:
-        # A plain insertion: no counters, no spans, so worker traces and
-        # folded cache stats keep the shapes the differential harness
-        # pins down.
-        key, compiled = seed
-        _WORKER_CACHE.seed_compiled(*key, compiled)
 
 
 def _make_engine(
@@ -280,16 +195,11 @@ def _schedule_chunk(
     cache: DescriptionCache,
 ) -> _ChunkOutcome:
     cache_before = cache.stats.copy()
-    # The chunk's trace is captured against a detached stack -- also on
-    # the serial path -- so driver-side grafting produces one tree shape
-    # regardless of the worker count.
     with obs.capture() as captured:
         with obs.span(
             "batch:chunk", memory=True, index=index, blocks=len(blocks)
         ) as sp:
-            setup_start = time.perf_counter()
             engine = _make_engine(machine, config, cache)
-            setup_seconds = time.perf_counter() - setup_start
             run = schedule_workload(
                 machine,
                 None,
@@ -301,52 +211,27 @@ def _schedule_chunk(
             if obs.enabled():
                 sp.set(ops=run.total_ops, attempts=run.stats.attempts)
     return _ChunkOutcome(
-        index=index,
         schedules=run.schedules or [],
         stats=run.stats,
         cache_stats=cache.stats.since(cache_before),
         spans=captured.spans,
-        setup_seconds=setup_seconds,
     )
 
 
-def _pool_chunk(
-    payload: Tuple[int, int, str, List[BasicBlock], BatchConfig]
-) -> _ChunkOutcome:
-    index, attempt, machine_name, blocks, config = payload
-    assert _WORKER_CACHE is not None, "worker initializer did not run"
-    try:
-        faults.apply_chunk_faults(
-            faults.current_plan(), index, attempt,
-            cache_dir=config.cache_dir, in_worker=True,
-        )
-        return _schedule_chunk(
-            get_machine(machine_name), index, blocks, config, _WORKER_CACHE
-        )
-    except Exception:
-        # The pool surfaces only the pickled exception; log the chunk's
-        # identity on the worker side before it propagates.
-        logger.exception(
-            "batch chunk %d (%d blocks, machine %s) failed in worker",
-            index, len(blocks), machine_name,
-        )
-        raise
-
-
 # ----------------------------------------------------------------------
-# Recovery paths (always run in the parent)
+# Recovery paths
 # ----------------------------------------------------------------------
 
 
-def _record_retry(state: _ChunkState, config: BatchConfig,
-                  tally: _Tally) -> None:
-    """Charge one retry and sleep out the deterministic backoff."""
-    tally.retries += 1
-    reason = type(state.last_error).__name__
-    delay = config.retry.delay(state.index, state.failures)
+def _record_retry(
+    state: _ChunkState, error: BaseException, config: BatchConfig
+) -> None:
+    """Log one retry and sleep out the deterministic backoff."""
+    reason = type(error).__name__
+    delay = config.retry.delay(state.index, state.attempts)
     logger.warning(
         "retrying batch chunk %d (failure %d/%d, %s) after %.3fs",
-        state.index, state.failures, config.retry.retries, reason, delay,
+        state.index, state.attempts, config.retry.retries, reason, delay,
     )
     obs.count(
         "repro_resilience_retries_total",
@@ -354,7 +239,7 @@ def _record_retry(state: _ChunkState, config: BatchConfig,
     )
     with obs.span(
         "resilience:retry", chunk=state.index,
-        failure=state.failures, reason=reason,
+        failure=state.attempts, reason=reason,
     ):
         if delay > 0:
             time.sleep(delay)
@@ -395,7 +280,7 @@ def _isolate_chunk(
                     except Exception as exc:
                         failures.append(BlockFailure.from_exception(
                             state.offset + offset, machine.name,
-                            state.index, state.submissions, exc,
+                            state.index, state.attempts, exc,
                         ))
                     else:
                         survivors.append(block)
@@ -411,13 +296,11 @@ def _isolate_chunk(
                 failures = [
                     BlockFailure.from_exception(
                         state.offset + offset, machine.name,
-                        state.index, state.submissions, exc,
+                        state.index, state.attempts, exc,
                     )
                     for offset in range(len(state.blocks))
                 ]
-                outcome = _ChunkOutcome(
-                    state.index, [], CheckStats(), CacheStats()
-                )
+                outcome = _ChunkOutcome([], CheckStats(), CacheStats())
             if obs.enabled():
                 sp.set(quarantined=len(failures))
     for failure in failures:
@@ -434,338 +317,41 @@ def _isolate_chunk(
     return outcome, failures
 
 
-def _run_serial(
+def _run_chunk(
     machine,
-    states: List[_ChunkState],
+    state: _ChunkState,
     config: BatchConfig,
     plan: Optional[faults.FaultPlan],
     cache: DescriptionCache,
-    outcomes: Dict[int, _ChunkOutcome],
-    block_failures: List[BlockFailure],
-    tally: _Tally,
-) -> None:
-    """The in-process path: one chunk at a time, retries and isolation.
+    result: BatchResult,
+) -> _ChunkOutcome:
+    """One chunk through its retries, then isolation if they run out.
 
-    Also serves as the degradation target when the pool path gives up.
-    Timeout budgets are not enforced here: a hung chunk cannot be
-    preempted from its own thread (see :class:`TimeoutPolicy`).
+    Retries are counted and quarantined blocks recorded on ``result``.
     """
-    for state in states:
-        while True:
-            attempt = state.submissions
-            state.submissions += 1
-            try:
-                faults.apply_chunk_faults(
-                    plan, state.index, attempt,
-                    cache_dir=config.cache_dir, in_worker=False,
-                )
-                outcomes[state.index] = _schedule_chunk(
-                    machine, state.index, state.blocks, config, cache
-                )
-                break
-            except Exception as exc:
-                state.last_error = exc
-                state.failures += 1
-                if is_retryable(exc) and \
-                        state.failures <= config.retry.retries:
-                    _record_retry(state, config, tally)
-                    continue
-                outcome, failures = _isolate_chunk(
-                    machine, state, config, cache
-                )
-                outcomes[state.index] = outcome
-                block_failures.extend(failures)
-                break
-
-
-def _shutdown_abandoned_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool we no longer trust without waiting on it.
-
-    A hung worker would make ``shutdown(wait=True)`` block for the
-    duration of the hang, so the workers are terminated outright; the
-    ``_processes`` attribute is stdlib-private but has been the only
-    handle on pool workers since 3.7, and termination is best-effort by
-    design (an already-dead worker is fine).
-    """
-    try:
-        processes = list((pool._processes or {}).values())
-    except Exception:  # pragma: no cover - platform-dependent cleanup
-        processes = []
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
+    while True:
         try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead worker
-            logger.warning(
-                "could not terminate abandoned pool worker %r", process
+            faults.apply_chunk_faults(
+                plan, state.index, state.attempts,
+                cache_dir=config.cache_dir,
             )
-
-
-def _seeding_enabled(
-    config: BatchConfig, plan: Optional[faults.FaultPlan]
-) -> bool:
-    """Whether this run may seed its pool workers from the parent.
-
-    ``lmdes_path`` runs already have their compact artifact on disk per
-    worker, and cache-corruption fault profiles exist precisely to
-    drive the disk tier's quarantine path -- seeding workers past the
-    disk would mask the behaviour those runs are asserting.
-    """
-    if config.lmdes_path:
-        return False
-    return plan is None or not any(
-        rule.kind == "corrupt" for rule in plan.rules
-    )
-
-
-def _compile_seed(
-    machine, config: BatchConfig, tally: _Tally,
-    cache: Optional[DescriptionCache] = None,
-) -> Optional[_Seed]:
-    """Compile once in the parent for the pool initializer (best effort).
-
-    The compile runs against a discarded trace capture: the parent's
-    span tree must stay identical whether or not seeding kicked in
-    (span-merge determinism is asserted across worker counts).
-
-    A caller-lent long-lived ``cache`` (the server's warm cache) is
-    used as-is -- a warm hit seeds without recompiling -- and only this
-    call's stats *delta* is folded into the tally, so a cache that
-    outlives many runs is never double-counted.  On failure the workers
-    compile for themselves.
-    """
-    try:
-        spec = get_engine_spec(config.backend or DEFAULT_BACKEND)
-    except KeyError:
-        return None
-    if config.stage < spec.min_stage:
-        return None  # the worker raises the typed error on its own
-    token = machine_content_token(machine)
-    if not is_persistent_token(token):
-        return None
-    try:
-        if cache is None:
-            cache = DescriptionCache(
-                disk=DiskDescriptionCache(config.cache_dir)
-                if config.cache_dir else None
+            return _schedule_chunk(
+                machine, state.index, state.blocks, config, cache
             )
-        before = cache.stats.copy()
-        try:
-            with obs.capture():
-                compiled = cache.compiled(
-                    machine, spec.rep, config.stage, spec.bitvector,
-                    reduce=spec.reduce,
-                )
-        finally:
-            tally.cache_stats += cache.stats.since(before)
-    except Exception:
-        logger.exception(
-            "could not compile %s in the parent; pool workers will "
-            "compile it themselves", machine.name,
-        )
-        return None
-    key = (machine.name, token, spec.rep, config.stage, spec.bitvector,
-           spec.reduce)
-    return key, compiled
-
-
-def _run_pooled(
-    machine,
-    states: List[_ChunkState],
-    config: BatchConfig,
-    plan: Optional[faults.FaultPlan],
-    outcomes: Dict[int, _ChunkOutcome],
-    block_failures: List[BlockFailure],
-    tally: _Tally,
-    cache: Optional[DescriptionCache] = None,
-) -> None:
-    """The pool path: dispatch, watch deadlines, recover, reassemble.
-
-    Pool generations run until every chunk has an outcome or is bound
-    for isolation; ``BrokenProcessPool`` and chunk timeouts abandon the
-    generation and resubmit the survivors to a fresh pool, bounded by
-    ``retry.max_pool_restarts``, after which the run degrades to the
-    serial path.  Every generation's workers are seeded with the one
-    parent compile, so restart recovery stays warm.
-    """
-    seed = (
-        _compile_seed(machine, config, tally, cache=cache)
-        if _seeding_enabled(config, plan) else None
-    )
-    policy = config.retry
-    budget = config.timeout.chunk_seconds
-    pending: Dict[int, _ChunkState] = {s.index: s for s in states}
-    to_isolate: List[_ChunkState] = []
-
-    def submit(pool, futures, deadlines, state) -> None:
-        attempt = state.submissions
-        state.submissions += 1
-        future = pool.submit(
-            _pool_chunk,
-            (state.index, attempt, machine.name, state.blocks, config),
-        )
-        futures[future] = state
-        if budget:
-            deadlines[future] = time.monotonic() + budget
-
-    while pending:
-        if tally.pool_restarts > policy.max_pool_restarts:
-            tally.degraded = True
-            logger.error(
-                "degrading to the serial path after %d pool failure(s); "
-                "%d chunk(s) remaining",
-                tally.pool_restarts, len(pending),
-            )
-            obs.count(
-                "repro_resilience_degradations_total",
-                help="Batch runs degraded from the pool to serial.",
-            )
-            with obs.span(
-                "resilience:degrade", remaining=len(pending),
-                pool_restarts=tally.pool_restarts,
-            ):
-                cache = DescriptionCache(
-                    disk=DiskDescriptionCache(config.cache_dir)
-                    if config.cache_dir else None
-                )
-                _run_serial(
-                    machine,
-                    sorted(pending.values(), key=lambda s: s.index),
-                    config, plan, cache, outcomes, block_failures, tally,
-                )
-            pending.clear()
-            break
-
-        pool = ProcessPoolExecutor(
-            max_workers=config.workers,
-            initializer=_init_worker,
-            initargs=(config.cache_dir, obs.enabled(), plan, seed,
-                      obs.memory_enabled()),
-        )
-        broken = False
-        futures: Dict[Any, _ChunkState] = {}
-        deadlines: Dict[Any, float] = {}
-        try:
-            for state in sorted(pending.values(), key=lambda s: s.index):
-                submit(pool, futures, deadlines, state)
-            while futures and not broken:
-                done, _ = wait(
-                    set(futures),
-                    timeout=_WAIT_TICK if budget else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    state = futures.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    except Exception as exc:
-                        state.last_error = exc
-                        state.failures += 1
-                        if is_retryable(exc) and \
-                                state.failures <= policy.retries:
-                            _record_retry(state, config, tally)
-                            submit(pool, futures, deadlines, state)
-                        else:
-                            pending.pop(state.index, None)
-                            to_isolate.append(state)
-                    else:
-                        pending.pop(state.index, None)
-                        outcomes[state.index] = outcome
-                if broken or not budget:
-                    continue
-                now = time.monotonic()
-                expired = [
-                    future for future, deadline in deadlines.items()
-                    if now >= deadline and not future.done()
-                ]
-                for future in expired:
-                    state = futures.pop(future)
-                    deadlines.pop(future, None)
-                    state.last_error = ChunkTimeoutError(
-                        f"chunk {state.index} exceeded its "
-                        f"{budget:g}s budget"
-                    )
-                    state.failures += 1
-                    tally.timeouts += 1
-                    logger.warning(
-                        "batch chunk %d timed out after %gs "
-                        "(failure %d/%d); abandoning the pool",
-                        state.index, budget, state.failures,
-                        policy.retries,
-                    )
-                    obs.count(
-                        "repro_resilience_timeouts_total",
-                        help="Chunk dispatches that exceeded their "
-                             "wall-clock budget.",
-                    )
-                    with obs.span("resilience:timeout",
-                                  chunk=state.index):
-                        pass
-                    if state.failures > policy.retries:
-                        pending.pop(state.index, None)
-                        to_isolate.append(state)
-                    # A timed-out future cannot be cancelled (its
-                    # worker is wedged), so the whole generation is
-                    # abandoned; other in-flight chunks stay pending
-                    # without being charged.
-                    broken = True
-        except BrokenProcessPool:
-            broken = True
-        if broken:
-            tally.pool_restarts += 1
-            obs.count(
-                "repro_resilience_pool_restarts_total",
-                help="Fresh pools built after worker death or timeout.",
-            )
-            with obs.span(
-                "resilience:pool-restart",
-                restart=tally.pool_restarts, remaining=len(pending),
-            ):
-                _shutdown_abandoned_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-
-    if to_isolate:
-        cache = DescriptionCache(
-            disk=DiskDescriptionCache(config.cache_dir)
-            if config.cache_dir else None
-        )
-        for state in sorted(to_isolate, key=lambda s: s.index):
-            outcome, failures = _isolate_chunk(
-                machine, state, config, cache
-            )
-            outcomes[state.index] = outcome
-            block_failures.extend(failures)
+        except Exception as exc:
+            state.attempts += 1
+            if is_retryable(exc) and state.attempts <= config.retry.retries:
+                result.retries += 1
+                _record_retry(state, exc, config)
+                continue
+            outcome, failures = _isolate_chunk(machine, state, config, cache)
+            result.errors.extend(failures)
+            return outcome
 
 
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
-
-
-def _resolve_machine(machine: Union[str, object], parallel: bool):
-    if isinstance(machine, str):
-        return get_machine(machine)
-    if parallel:
-        # Workers rebuild the machine from the registry by name; an
-        # unregistered (or same-named but different) machine would
-        # silently schedule against the wrong description.
-        try:
-            registered = get_machine(machine.name)
-        except KeyError:
-            registered = None
-        if registered is None or machine_content_token(
-            registered
-        ) != machine_content_token(machine):
-            raise ValueError(
-                "parallel batch scheduling needs a registered machine "
-                f"name; {machine.name!r} does not match the registry"
-            )
-    return machine
 
 
 def schedule_batch(
@@ -775,29 +361,24 @@ def schedule_batch(
     *,
     cache: Optional[DescriptionCache] = None,
 ) -> BatchResult:
-    """Schedule a workload of blocks, sharded across a process pool.
+    """Schedule a workload of blocks in chunks, in process.
 
     The first argument is either a validated
     :class:`~repro.service.models.BatchRequest` (the canonical calling
     convention -- ``blocks`` and ``config`` must then be omitted), or a
     registered machine name / :class:`~repro.machines.base.Machine`
-    with the blocks and config passed alongside.  Parallel runs require
-    the machine to resolve through the registry so workers can rebuild
-    it.  Results come back in input block order regardless of worker
-    count, and the summed statistics are identical for any ``workers``
-    value.
+    with the blocks and config passed alongside.  Results come back in
+    input block order.
 
     ``cache`` lends the run a long-lived description cache (the server
-    tier's warm process-wide cache) instead of the per-call default;
-    the in-process path schedules straight out of it and the pool path
-    seeds its workers from it, so a description compiles at most once
-    across every request that shares the cache.
+    tier's warm process-wide cache) instead of the per-call default, so
+    a description compiles at most once across every request that
+    shares the cache.
 
-    Recoverable faults (worker death, chunk timeouts, transient
-    scheduling errors, corrupt cache entries) are retried under
-    ``config.retry`` / ``config.timeout`` without changing the result;
-    blocks that fail deterministically are quarantined and either
-    reported (``on_error="report"``) or raised as a
+    Recoverable faults (transient scheduling errors, corrupt cache
+    entries) are retried under ``config.retry`` without changing the
+    result; blocks that fail deterministically are quarantined and
+    either reported (``on_error="report"``) or raised as a
     :class:`~repro.errors.ServiceError` (``on_error="raise"``).
     """
     if isinstance(machine, BatchRequest):
@@ -809,68 +390,38 @@ def schedule_batch(
         request = machine.validate()
         machine = request.machine
         blocks = request.resolve_blocks()
-        config = request.effective_config()
+        config = request.config
     config = config or BatchConfig()
     config.validate()
-    machine = _resolve_machine(machine, parallel=config.workers > 1)
+    if isinstance(machine, str):
+        machine = get_machine(machine)
+    if cache is None:
+        cache = DescriptionCache(
+            disk=DiskDescriptionCache(config.cache_dir)
+            if config.cache_dir else None
+        )
     plan = faults.current_plan()
     block_list = list(blocks)
     chunks = _chunk_blocks(block_list, config.chunk_size)
-    states = [
-        _ChunkState(
-            index=index, blocks=chunk, offset=index * config.chunk_size
-        )
-        for index, chunk in enumerate(chunks)
-    ]
 
-    outcomes: Dict[int, _ChunkOutcome] = {}
-    block_failures: List[BlockFailure] = []
-    tally = _Tally()
+    result = BatchResult(
+        machine_name=machine.name,
+        backend=config.backend_label,
+        chunk_count=len(chunks),
+    )
     with obs.span(
         "service:batch", memory=True, machine=machine.name,
-        backend=config.backend_label, workers=config.workers,
-        chunks=len(chunks),
+        backend=config.backend_label, chunks=len(chunks),
     ) as sp:
-        if config.workers == 1:
-            if cache is None:
-                cache = DescriptionCache(
-                    disk=DiskDescriptionCache(config.cache_dir)
-                    if config.cache_dir else None
-                )
-            _run_serial(
-                machine, states, config, plan, cache,
-                outcomes, block_failures, tally,
+        for index, chunk in enumerate(chunks):
+            state = _ChunkState(
+                index=index, blocks=chunk, offset=index * config.chunk_size
             )
-        else:
-            _run_pooled(
-                machine, states, config, plan,
-                outcomes, block_failures, tally, cache=cache,
-            )
-
-        result = BatchResult(
-            machine_name=machine.name,
-            backend=config.backend_label,
-            workers=config.workers,
-            chunk_count=len(chunks),
-            retries=tally.retries,
-            timeouts=tally.timeouts,
-            pool_restarts=tally.pool_restarts,
-            degraded=tally.degraded,
-        )
-        result.cache_stats += tally.cache_stats
-        # Chunk order, not completion order: the stats fold, the
-        # schedule list, and the grafted trace must not depend on pool
-        # timing.
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
+            outcome = _run_chunk(machine, state, config, plan, cache, result)
             result.schedules.extend(outcome.schedules)
             result.stats += outcome.stats
             result.cache_stats += outcome.cache_stats
-            result.chunk_setup_seconds += outcome.setup_seconds
             obs.attach(outcome.spans)
-        result.errors = sorted(
-            block_failures, key=lambda f: f.block_index
-        )
         result.total_ops = sum(len(s.block) for s in result.schedules)
         result.total_cycles = sum(s.length for s in result.schedules)
         if obs.enabled():

@@ -1,40 +1,34 @@
 """Deterministic fault injection for the batch service.
 
 The resilience layer (:mod:`repro.service.resilience`) claims that a
-batch run survives worker crashes, chunk hangs, transient scheduling
-errors, and corrupt disk-cache entries *without changing its output*.
-That claim is only testable if the faults themselves are reproducible,
-so this module injects them by **seeded rule**, not by chance: every
-rule names the chunk index and attempt numbers it fires on, which makes
-a fault profile a pure function of the batch partition -- the same
-property the service's determinism contract is built on.
+batch run survives transient scheduling errors and corrupt disk-cache
+entries *without changing its output*.  That claim is only testable if
+the faults themselves are reproducible, so this module injects them by
+**seeded rule**, not by chance: every rule names the chunk index and
+attempt numbers it fires on, which makes a fault profile a pure
+function of the batch partition -- the same property the service's
+determinism contract is built on.
 
 Faults are off unless a plan is installed programmatically
 (:func:`install` / :func:`injected`) or via the ``REPRO_FAULTS``
 environment variable (mirroring ``REPRO_OBS``).  The spec grammar is a
 ``;``-separated rule list::
 
-    REPRO_FAULTS="seed=42;crash@1;hang@2:1.5;sched@0;corrupt@1"
+    REPRO_FAULTS="seed=42;sched@0#0,1;corrupt@2"
 
-    rule    := kind '@' chunk ['#' attempts] [':' param]
-    kind    := 'crash' | 'hang' | 'sched' | 'corrupt'
+    rule    := kind '@' chunk ['#' attempts]
+    kind    := 'sched' | 'corrupt'
     attempts:= '*' | int (',' int)*      (default: first attempt only)
-    param   := float                     (hang: sleep seconds)
 
-* ``crash``  -- in a pool worker, ``os._exit(1)`` (a real worker death,
-  surfacing as ``BrokenProcessPool`` in the driver); on the in-process
-  serial path, raise :class:`~repro.errors.WorkerCrashError` instead.
-* ``hang``   -- sleep ``param`` seconds (default 2.0) before the chunk
-  runs, long enough to trip a configured chunk timeout.
 * ``sched``  -- raise a transient :class:`~repro.errors.SchedulingError`.
 * ``corrupt``-- scribble over every published LMDES artifact in the
   run's cache directory, so the next description load exercises the
   disk tier's quarantine-and-rebuild path for real.
 
-``attempts`` defaults to ``(0,)``: a fault fires the first time its
-chunk is dispatched and not on retries, which is what *transient* means
-here.  ``#*`` makes a fault deterministic (fires on every attempt) --
-the profile used to prove poisoned-chunk isolation.
+``attempts`` defaults to ``(0,)``: a fault fires on its chunk's first
+attempt and not on retries, which is what *transient* means here.
+``#*`` makes a fault deterministic (fires on every attempt) -- the
+profile used to prove poisoned-chunk isolation.
 
 Faults never fire inside the driver's quarantine/isolation path
 (:func:`suppressed`): isolation is the last-resort clean re-run that
@@ -46,24 +40,20 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from repro.errors import SchedulingError, WorkerCrashError
+from repro.errors import SchedulingError
 
 logger = logging.getLogger("repro.service.faults")
 
 #: Recognised fault kinds, in the order multiple matches are applied.
-KINDS = ("corrupt", "sched", "hang", "crash")
+KINDS = ("corrupt", "sched")
 
 #: Environment variable holding the process-wide fault spec.
 ENV_VAR = "REPRO_FAULTS"
-
-#: Default sleep for ``hang`` rules without an explicit param.
-DEFAULT_HANG_SECONDS = 2.0
 
 #: What corrupt rules overwrite artifacts with -- deliberately not
 #: JSON, so ``load_lmdes`` fails structurally, not subtly.
@@ -76,13 +66,12 @@ class FaultRule:
 
     ``attempts`` is the tuple of attempt numbers the rule fires on; the
     empty tuple means every attempt (a deterministic, non-transient
-    fault).  ``param`` is the kind-specific knob (hang seconds).
+    fault).
     """
 
     kind: str
     chunk: int
     attempts: Tuple[int, ...] = (0,)
-    param: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -104,8 +93,6 @@ class FaultRule:
             text += "#*"
         elif self.attempts != (0,):
             text += "#" + ",".join(str(a) for a in self.attempts)
-        if self.param is not None:
-            text += f":{self.param:g}"
         return text
 
 
@@ -117,7 +104,7 @@ class FaultPlan:
     seed: int = 0
 
     def rules_for(self, chunk: int, attempt: int) -> List[FaultRule]:
-        """Matching rules in application order (corrupt before crash)."""
+        """Matching rules in application order (corrupt before sched)."""
         matched = [r for r in self.rules if r.matches(chunk, attempt)]
         matched.sort(key=lambda rule: KINDS.index(rule.kind))
         return matched
@@ -145,14 +132,9 @@ def parse_faults(spec: str) -> FaultPlan:
             continue
         if "@" not in entry:
             raise ValueError(
-                f"bad fault rule {entry!r}: expected kind@chunk"
-                "[#attempts][:param]"
+                f"bad fault rule {entry!r}: expected kind@chunk[#attempts]"
             )
         kind, _, rest = entry.partition("@")
-        param: Optional[float] = None
-        if ":" in rest:
-            rest, _, param_text = rest.partition(":")
-            param = float(param_text)
         attempts: Tuple[int, ...] = (0,)
         if "#" in rest:
             rest, _, attempts_text = rest.partition("#")
@@ -163,10 +145,7 @@ def parse_faults(spec: str) -> FaultPlan:
                     int(a) for a in attempts_text.split(",") if a.strip()
                 )
         rules.append(
-            FaultRule(
-                kind=kind.strip(), chunk=int(rest), attempts=attempts,
-                param=param,
-            )
+            FaultRule(kind=kind.strip(), chunk=int(rest), attempts=attempts)
         )
     return FaultPlan(rules=tuple(rules), seed=seed)
 
@@ -254,9 +233,8 @@ def apply_chunk_faults(
     chunk: int,
     attempt: int,
     cache_dir: Optional[str] = None,
-    in_worker: bool = False,
 ) -> None:
-    """Fire every rule matching ``(chunk, attempt)``; called per dispatch.
+    """Fire every rule matching ``(chunk, attempt)``; called per attempt.
 
     Runs before the chunk's trace capture opens, so a faulted attempt
     leaves no spans behind -- the recovered trace stays identical to a
@@ -280,24 +258,9 @@ def apply_chunk_faults(
                 f"injected transient fault (chunk {chunk}, "
                 f"attempt {attempt})"
             )
-        elif rule.kind == "hang":
-            time.sleep(
-                rule.param if rule.param is not None
-                else DEFAULT_HANG_SECONDS
-            )
-        elif rule.kind == "crash":
-            if in_worker:
-                # A real worker death: no exception, no cleanup, the
-                # driver sees BrokenProcessPool.
-                os._exit(1)
-            raise WorkerCrashError(
-                f"injected worker crash (chunk {chunk}, "
-                f"attempt {attempt})"
-            )
 
 
 __all__ = [
-    "DEFAULT_HANG_SECONDS",
     "ENV_VAR",
     "FaultPlan",
     "FaultRule",

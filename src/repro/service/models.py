@@ -19,8 +19,8 @@ redesign makes one validated object per call the contract everywhere:
   ``to_dict`` wire form the server and the CLI ``--json`` views share.
 
 Requests are frozen: validation happens once (:meth:`validate`), the
-object is then safe to ship across threads, the micro-batcher, and the
-process pool.  Blocks can be given inline or as a
+object is then safe to ship across threads and the micro-batcher.
+Blocks can be given inline or as a
 :class:`~repro.workloads.WorkloadConfig` generator spec -- the paper's
 "compile once, use many times" story needs requests that are cheap to
 mint per call.
@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import RequestError
 from repro.ir.block import BasicBlock
-from repro.service.resilience import BlockFailure, RetryPolicy, TimeoutPolicy
+from repro.service.resilience import BlockFailure, RetryPolicy
 from repro.transforms.pipeline import FINAL_STAGE
 from repro.workloads import WorkloadConfig
 
@@ -68,15 +68,14 @@ class BatchConfig:
         lmdes_path: Schedule against a pre-compiled LMDES file instead
             of a registry backend.
         stage: Transformation stage for registry backends.
-        workers: Process count; 1 runs in-process (no pool).
-        chunk_size: Blocks per dispatched task.  Part of the result's
-            deterministic identity: the summed stats of engine-memoizing
-            backends depend on the partition, never on ``workers``.
+        chunk_size: Blocks per chunk, the unit of retry and isolation.
+            Part of the result's deterministic identity: every chunk
+            gets a fresh engine, so the summed stats of engine-memoizing
+            backends depend on the partition.
         cache_dir: Directory for the persistent description cache;
             ``None`` disables the disk tier.
         direction: Scheduling direction, as in the list scheduler.
-        retry: Chunk retry / pool restart budgets and backoff shape.
-        timeout: Per-chunk wall-clock budget (pool path only).
+        retry: Chunk retry budget and backoff shape.
         on_error: ``"raise"`` raises :class:`ServiceError` when any
             block ends up quarantined; ``"report"`` returns them as
             typed ``BatchResult.errors`` records alongside the
@@ -91,12 +90,10 @@ class BatchConfig:
     backend: Optional[str] = None
     lmdes_path: Optional[str] = None
     stage: int = FINAL_STAGE
-    workers: int = 1
     chunk_size: int = 32
     cache_dir: Optional[str] = None
     direction: str = "forward"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    timeout: TimeoutPolicy = field(default_factory=TimeoutPolicy)
     on_error: str = "raise"
     verify: bool = False
 
@@ -105,8 +102,6 @@ class BatchConfig:
             raise ValueError(
                 "BatchConfig backend and lmdes_path are mutually exclusive"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1: {self.chunk_size}")
         if self.on_error not in ON_ERROR_MODES:
@@ -115,7 +110,6 @@ class BatchConfig:
                 f"{self.on_error!r}"
             )
         self.retry.validate()
-        self.timeout.validate()
 
     @property
     def backend_label(self) -> str:
@@ -325,46 +319,6 @@ class BatchRequest(_RequestBase):
     def backend_name(self) -> str:
         return self.config.backend_label
 
-    def effective_config(self) -> BatchConfig:
-        """The batch config with the request deadline folded in.
-
-        A request deadline becomes the per-chunk
-        :class:`~repro.service.resilience.TimeoutPolicy` budget when
-        the config does not already carry a tighter one -- the pool
-        path then abandons chunks that would outlive the request.
-        """
-        if self.deadline_seconds is None:
-            return self.config
-        current = self.config.timeout.chunk_seconds
-        if current is not None and current <= self.deadline_seconds:
-            return self.config
-        return replace(
-            self.config,
-            timeout=TimeoutPolicy(chunk_seconds=self.deadline_seconds),
-        )
-
-    @classmethod
-    def from_schedule(
-        cls, request: ScheduleRequest, **config_overrides: Any
-    ) -> "BatchRequest":
-        """Lift a single-shot request into the batch vocabulary."""
-        config = BatchConfig(
-            backend=request.backend,
-            stage=request.stage,
-            direction=request.direction,
-            verify=request.verify,
-            **config_overrides,
-        )
-        return cls(
-            machine=request.machine,
-            blocks=request.blocks,
-            workload=request.workload,
-            config=config,
-            deadline_seconds=request.deadline_seconds,
-            client=request.client,
-            request_id=request.request_id,
-        )
-
 
 def _schedule_payload(schedule) -> Dict[str, Any]:
     """One block schedule as a JSON-ready placement record."""
@@ -535,7 +489,7 @@ class ScheduleResponse:
         cls, request: BatchRequest, result, wall_seconds: float = 0.0,
     ) -> "ScheduleResponse":
         """Wrap a :class:`BatchResult`."""
-        stats, cache = result.stats, result.cache_stats
+        stats = result.stats
         return cls(
             machine=result.machine_name,
             backend=result.backend,
@@ -556,21 +510,8 @@ class ScheduleResponse:
                 result.verify_report.summary()
                 if result.verify_report is not None else None
             ),
-            resilience={
-                "retries": result.retries,
-                "timeouts": result.timeouts,
-                "pool_restarts": result.pool_restarts,
-                "degraded": result.degraded,
-                "quarantined": result.quarantined,
-            },
-            cache={
-                "memory_hits": cache.hits,
-                "memory_misses": cache.misses,
-                "disk_hits": cache.disk_hits,
-                "disk_misses": cache.disk_misses,
-                "disk_stores": cache.disk_stores,
-                "disk_quarantined": cache.disk_quarantined,
-            },
+            resilience=result.resilience_summary(),
+            cache=result.cache_summary(),
             request_id=request.request_id,
             result=result,
         )

@@ -11,9 +11,6 @@ explicit for :func:`repro.service.schedule_batch`:
   backoff and **deterministic** jitter: the delay for (chunk, attempt)
   is a pure function of the policy seed, so a recovered run is
   reproducible, not merely likely to converge.
-* :class:`TimeoutPolicy` -- the per-chunk wall-clock budget enforced on
-  the pool path (an in-process chunk cannot be preempted, so the serial
-  path documents rather than enforces it).
 * :class:`BlockFailure` -- the typed quarantine record
   ``BatchResult.errors`` collects when ``on_error="report"``: which
   block, in which chunk, after how many attempts, failing how.
@@ -33,27 +30,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
-from repro.errors import (
-    CacheCorruptionError,
-    ChunkTimeoutError,
-    SchedulingError,
-    WorkerCrashError,
-)
+from repro.errors import CacheCorruptionError, SchedulingError
 
-#: Failure types worth retrying: transient by nature (a crashed worker,
-#: an expired budget, a quarantined-and-rebuilt cache entry) or by
-#: convention (SchedulingError covers injected transients and solver
-#: give-ups that a fresh attempt may clear).  Everything else -- a
-#: KeyError from an unknown opcode, a ValueError from bad config -- is
-#: deterministic and goes straight to isolation.
+#: Failure types worth retrying: transient by nature (a
+#: quarantined-and-rebuilt cache entry, an I/O error) or by convention
+#: (SchedulingError covers injected transients and solver give-ups that
+#: a fresh attempt may clear).  Everything else -- a KeyError from an
+#: unknown opcode, a ValueError from bad config -- is deterministic and
+#: goes straight to isolation.
 RETRYABLE_TYPES = (
     SchedulingError,
-    WorkerCrashError,
-    ChunkTimeoutError,
     CacheCorruptionError,
-    ConnectionError,
     OSError,
 )
 
@@ -69,15 +57,13 @@ class RetryPolicy:
 
     Attributes:
         retries: Extra attempts per chunk after the first (0 disables
-            chunk-level retry; pool crash recovery still runs).
+            chunk-level retry; isolation still runs).
         backoff_base: Delay before the first retry, in seconds.
         backoff_factor: Multiplier per further retry.
         backoff_max: Delay ceiling, in seconds.
         jitter: Fraction of the delay added deterministically from
             ``seed`` (0 disables; 0.5 means up to +50%).
         seed: Jitter seed; part of the run's reproducible identity.
-        max_pool_restarts: Fresh pools built after ``BrokenProcessPool``
-            or a chunk timeout before degrading to the serial path.
     """
 
     retries: int = 0
@@ -86,7 +72,6 @@ class RetryPolicy:
     backoff_max: float = 2.0
     jitter: float = 0.5
     seed: int = 0
-    max_pool_restarts: int = 3
 
     def validate(self) -> None:
         if self.retries < 0:
@@ -99,10 +84,6 @@ class RetryPolicy:
             )
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError(f"jitter must be in [0, 1]: {self.jitter}")
-        if self.max_pool_restarts < 0:
-            raise ValueError(
-                f"max_pool_restarts must be >= 0: {self.max_pool_restarts}"
-            )
 
     @property
     def attempts(self) -> int:
@@ -130,26 +111,6 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class TimeoutPolicy:
-    """Per-chunk wall-clock budget.
-
-    ``chunk_seconds=None`` disables enforcement.  The budget covers
-    queue wait plus execution (the driver cannot observe when a pool
-    task leaves the queue), so size it for the whole dispatch, not just
-    the scheduling work.  Enforced only on the pool path: a hung
-    in-process chunk cannot be preempted from the same thread.
-    """
-
-    chunk_seconds: Optional[float] = None
-
-    def validate(self) -> None:
-        if self.chunk_seconds is not None and self.chunk_seconds <= 0:
-            raise ValueError(
-                f"chunk_seconds must be > 0: {self.chunk_seconds}"
-            )
-
-
-@dataclass(frozen=True)
 class BlockFailure:
     """One quarantined block: the typed record in ``BatchResult.errors``.
 
@@ -159,8 +120,8 @@ class BlockFailure:
         chunk_index: Chunk the block arrived in.
         attempts: Chunk attempts consumed before isolation gave up.
         error_type: Exception class name of the final cause.
-        message: Final cause, stringified (exceptions from pool workers
-            arrive pickled; the record stays process-portable).
+        message: Final cause, stringified, so the record stays plain
+            JSON-ready data.
     """
 
     block_index: int
@@ -200,6 +161,5 @@ __all__ = [
     "BlockFailure",
     "RETRYABLE_TYPES",
     "RetryPolicy",
-    "TimeoutPolicy",
     "is_retryable",
 ]

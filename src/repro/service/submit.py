@@ -1,7 +1,7 @@
 """The batch driver's async submission path.
 
 :class:`BatchSubmitter` is the bridge between an asyncio event loop
-(the server tier) and the synchronous, process-pool-backed
+(the server tier) and the synchronous
 :func:`~repro.service.batch.schedule_batch`: requests are handed to a
 small thread pool via ``run_in_executor`` so the loop never blocks on a
 compile or a schedule, while every run schedules out of one long-lived
@@ -35,9 +35,8 @@ class BatchSubmitter:
     Args:
         cache_dir: Disk tier for the warm cache; ``None`` keeps it
             memory-only.
-        max_workers: Threads running batch drivers concurrently.  Each
-            thread may itself own a process pool (``config.workers``),
-            so this bounds *driver* concurrency, not total parallelism.
+        max_workers: Threads running batch drivers concurrently; they
+            keep compiles and schedules off the event loop.
         cache: Lend an existing cache instead of building one (tests,
             or sharing with a prewarmed registry).
     """
@@ -99,16 +98,6 @@ class BatchSubmitter:
         with obs.capture() as capture:
             result = self.run(request)
         return result, capture.spans
-
-    async def submit(self, request: BatchRequest) -> BatchResult:
-        """Run one request off-loop; awaitable from the event loop."""
-        loop = asyncio.get_running_loop()
-        with self._lock:
-            if self._closed:
-                raise ShuttingDownError(
-                    "submitter is closed; no new batch runs"
-                )
-        return await loop.run_in_executor(self._executor, self.run, request)
 
     async def submit_captured(self, request: BatchRequest):
         """:meth:`run_captured`, awaitable from the event loop."""

@@ -13,13 +13,13 @@ machine complexity instead of at four fixed points.
     from repro.sweep import SweepConfig, run_sweep
 
     report = run_sweep(SweepConfig(
-        family="superscalar-wide", count=200, seed=7, workers=4,
+        family="superscalar-wide", count=200, seed=7,
     ))
     assert report.ok
     report.write_jsonl("sweep.jsonl")
     print(report.summary_table())
 
-CLI: ``repro sweep --family superscalar-wide --count 200 --workers 4``.
+CLI: ``repro sweep --family superscalar-wide --count 200``.
 """
 
 from repro.sweep.driver import (

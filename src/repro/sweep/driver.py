@@ -15,15 +15,13 @@ Per variant the sweep records the schedule digest and run totals, the
 per-transform ``options_delta`` effect columns (the live Table 7/8/13
 quantities, here measured per *machine* rather than at the paper's four
 points), an optional independent-oracle verdict, and an optional
-exact-scheduler gap sample.  Rows contain only deterministic data, so a
-sweep at ``workers=N`` is bit-identical to the serial one; failures are
-quarantined per variant and never poison the rest of the fleet.
+exact-scheduler gap sample.  Rows contain only deterministic data, so
+two sweeps of one fleet write identical rows; failures are quarantined
+per variant and never poison the rest of the fleet.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -68,8 +66,6 @@ class SweepConfig:
             so the instruction mix, not the workload, is the constant).
         backend: Registered query-engine backend.
         stage: Transformation stage 0..4.
-        workers: Submitter threads running variants concurrently.
-            Results are bit-identical at any value.
         verify: Replay every variant's schedules through the
             independent oracle.
         exact_sample: When > 0, run the exact scheduler on every
@@ -90,7 +86,6 @@ class SweepConfig:
     workload_seed: int = 20161202
     backend: str = DEFAULT_BACKEND
     stage: int = FINAL_STAGE
-    workers: int = 1
     verify: bool = True
     exact_sample: int = 0
     exact_ops: int = 24
@@ -105,8 +100,6 @@ class SweepConfig:
                 raise ValueError(f"count must be >= 1: {self.count}")
         if self.ops < 1:
             raise ValueError(f"ops must be >= 1: {self.ops}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1: {self.workers}")
         if not 0 <= self.stage <= FINAL_STAGE:
             raise ValueError(
                 f"stage must be 0..{FINAL_STAGE}: {self.stage}"
@@ -133,7 +126,7 @@ def transform_effects_for(
     detached trace capture and flattens the resulting ``transform:*``
     spans -- the same entries :func:`repro.obs.transform_effects`
     reads from the live trace, minus the wall-clock ``seconds`` column
-    (sweep rows must be bit-identical across worker counts).  Driving
+    (sweep rows must be bit-identical from run to run).  Driving
     the pipeline directly (rather than scraping the schedule run's
     spans) keeps the columns present even when the compile itself was
     a warm cache hit.
@@ -217,7 +210,6 @@ def _run_variant(
             config=BatchConfig(
                 backend=config.backend,
                 stage=config.stage,
-                workers=1,
                 chunk_size=config.chunk_size,
                 verify=config.verify,
                 on_error="report",
@@ -270,7 +262,7 @@ def run_sweep(
     """Sweep the fleet; returns the aggregated report.
 
     ``progress``, when given, is called as ``progress(done, total)``
-    after every variant (any thread).  Observability is force-enabled
+    after every variant.  Observability is force-enabled
     for the duration (the per-variant transform-effect capture needs
     the tracer) and restored afterwards.
     """
@@ -289,42 +281,20 @@ def run_sweep(
                 maxsize=SWEEP_CACHE_SIZE, disk=disk, name="sweep"
             )
         before = cache.stats.copy()
-        submitter = BatchSubmitter(
-            max_workers=config.workers, cache=cache
-        )
-        done = 0
-        lock = threading.Lock()
-
-        def run_one(index: int, name: str) -> VariantResult:
-            nonlocal done
-            row = _run_variant(index, name, config, submitter)
-            if progress is not None:
-                with lock:
-                    done += 1
-                    progress(done, len(names))
-            return row
-
+        submitter = BatchSubmitter(max_workers=1, cache=cache)
+        variants: List[VariantResult] = []
         with obs.span(
             "sweep:run",
             family=config.family if not config.names else "custom",
             variants=len(names),
-            workers=config.workers,
         ) as sweep_span:
             try:
-                if config.workers == 1:
-                    variants = [
-                        run_one(i, name) for i, name in enumerate(names)
-                    ]
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=config.workers,
-                        thread_name_prefix="repro-sweep",
-                    ) as pool:
-                        futures = [
-                            pool.submit(run_one, i, name)
-                            for i, name in enumerate(names)
-                        ]
-                        variants = [f.result() for f in futures]
+                for index, name in enumerate(names):
+                    variants.append(
+                        _run_variant(index, name, config, submitter)
+                    )
+                    if progress is not None:
+                        progress(len(variants), len(names))
             finally:
                 submitter.close()
         delta = cache.stats.since(before)
@@ -336,7 +306,6 @@ def run_sweep(
             workload_seed=config.workload_seed,
             backend=config.backend,
             stage=config.stage,
-            workers=config.workers,
             variants=variants,
             cache={
                 "memory_hits": delta.hits,

@@ -3,10 +3,10 @@
 A sweep's value is the *table*, not any single run: schedule length,
 transform effect columns, and oracle verdicts across hundreds of
 machine variants, joined against each variant's complexity axes.  The
-rows here are deliberately restricted to thread-interleaving-free data
-(no wall-clock, no shared-cache deltas), which is what makes a
-4-worker sweep bit-identical to the serial one -- the same determinism
-contract the batch service keeps per workload, lifted to fleet level.
+rows here are deliberately restricted to deterministic data (no
+wall-clock, no shared-cache deltas), which is what makes two sweeps of
+one fleet bit-identical -- the same determinism contract the batch
+service keeps per workload, lifted to fleet level.
 
 The JSONL form is one meta line followed by one line per variant, so a
 thousand-variant report streams and greps well; ``read_jsonl`` round-
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when the JSONL layout changes.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -86,10 +86,10 @@ class SweepReport:
     workload_seed: int
     backend: str
     stage: int
-    workers: int
     variants: List[VariantResult] = field(default_factory=list)
-    #: Fleet-level warm-cache counters (worker-interleaving dependent,
-    #: so reported here and never per variant).
+    #: Fleet-level warm-cache counters (they depend on what earlier
+    #: variants left in the cache, so reported here and never per
+    #: variant).
     cache: Dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
@@ -123,7 +123,7 @@ class SweepReport:
         return self.quarantined == 0 and self.oracle_failures == 0
 
     def signature(self) -> Tuple:
-        """Deterministic digest tuple: serial == N-worker, always."""
+        """Deterministic digest tuple: equal for every sweep of a fleet."""
         return tuple(
             (v.name, v.ok, v.digest or v.error_type or "")
             for v in self.variants
@@ -208,7 +208,6 @@ class SweepReport:
             "workload_seed": self.workload_seed,
             "backend": self.backend,
             "stage": self.stage,
-            "workers": self.workers,
             "variants": len(self.variants),
             "quarantined": self.quarantined,
             "oracle_failures": self.oracle_failures,
@@ -282,7 +281,6 @@ class SweepReport:
             workload_seed=meta["workload_seed"],
             backend=meta["backend"],
             stage=meta["stage"],
-            workers=meta["workers"],
             cache=dict(meta.get("cache", {})),
             wall_seconds=meta.get("wall_seconds", 0.0),
         )
@@ -300,7 +298,7 @@ class SweepReport:
         lines = [
             f"sweep:               {self.family} x {len(self.variants)} "
             f"variants (seed {self.seed}, backend {self.backend}, "
-            f"stage {self.stage}, {self.workers} worker(s))",
+            f"stage {self.stage})",
             f"workload:            {self.ops} ops/variant "
             f"(seed {self.workload_seed})",
             f"distinct machines:   {self.distinct_descriptions} "

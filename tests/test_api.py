@@ -11,11 +11,11 @@ from repro import api
 from repro.engine import create_engine
 from repro.errors import (
     CacheCorruptionError,
-    ChunkTimeoutError,
+    DeadlineExceededError,
     ReproError,
     SchedulingError,
     ServiceError,
-    WorkerCrashError,
+    VerificationError,
 )
 from repro.machines import get_machine
 from repro.scheduler import schedule_workload
@@ -39,11 +39,10 @@ class TestFacadeSurface:
 
     def test_error_taxonomy_roots_at_repro_error(self):
         for error_type in (
-            SchedulingError, ServiceError, ChunkTimeoutError,
-            WorkerCrashError, CacheCorruptionError,
+            SchedulingError, ServiceError, CacheCorruptionError,
         ):
             assert issubclass(error_type, ReproError)
-        for error_type in (ChunkTimeoutError, WorkerCrashError):
+        for error_type in (DeadlineExceededError, VerificationError):
             assert issubclass(error_type, ServiceError)
         failure_records = ServiceError("boom", failures=["record"])
         assert failure_records.failures == ["record"]
@@ -144,7 +143,7 @@ class TestFacadeSurface:
         from repro.service import schedule_batch
 
         _, blocks = workload(ops=60)
-        config = api.BatchConfig(workers=1, chunk_size=8, stage=STAGE)
+        config = api.BatchConfig(chunk_size=8, stage=STAGE)
         response = api.schedule_batch(api.BatchRequest(
             machine=MACHINE, blocks=tuple(blocks), config=config,
         ))

@@ -1,37 +1,32 @@
 """Fault-injection differential matrix for the resilient batch service.
 
-The resilience layer's contract (ISSUE: determinism under recovery) is
-that a batch run surviving injected worker crashes, chunk hangs,
-transient scheduling errors, and corrupt disk-cache entries produces
-output **bit-for-bit identical** to a clean serial run: the same
-schedule signatures, the same folded :class:`CheckStats`, and the same
-merged span skeleton.  This suite asserts exactly that, plus the
-surrounding machinery: deterministic backoff, the ``REPRO_FAULTS``
-grammar, poisoned-block quarantine, and degradation to the serial path.
+The resilience layer's contract is determinism under recovery: a batch
+run surviving injected transient scheduling errors and corrupt
+disk-cache entries produces output **bit-for-bit identical** to a clean
+run: the same schedule signatures, the same folded :class:`CheckStats`,
+and the same merged span skeleton.  This suite asserts exactly that,
+plus the surrounding machinery: deterministic backoff, the
+``REPRO_FAULTS`` grammar, and poisoned-block quarantine.
 
 Every fault profile here is seeded by rule -- chunk index and attempt
 numbers -- so the tests are reproducible, not merely likely to pass.
 """
 
 import dataclasses
-import os
 
 import pytest
 
 from repro import obs
 from repro.engine import create_engine
-from repro.engine.cache import DescriptionCache
-from repro.errors import ServiceError, WorkerCrashError
+from repro.errors import ServiceError
 from repro.scheduler import schedule_workload
 from repro.service import (
     BatchConfig,
     RetryPolicy,
-    TimeoutPolicy,
     parse_faults,
     schedule_batch,
 )
 from repro.service import faults
-from repro.service.batch import _seeding_enabled
 from repro.service.faults import FaultPlan, FaultRule
 from repro.service.resilience import is_retryable
 
@@ -40,9 +35,6 @@ from tests.conftest import shared_workload
 MACHINE = "K5"
 CHUNK = 4
 STAGE = 4
-
-#: Worker count for the pool legs; CI sets REPRO_BATCH_WORKERS.
-N_WORKERS = max(2, int(os.environ.get("REPRO_BATCH_WORKERS", "2")))
 
 
 @pytest.fixture(autouse=True)
@@ -58,11 +50,11 @@ def workload(ops=160, seed=11, machine_name=MACHINE):
 
 
 def clean_serial(machine_name, blocks, **knobs):
-    """The reference outcome: one worker, no faults installed."""
+    """The reference outcome: no faults installed."""
     with faults.injected(FaultPlan()):
         return schedule_batch(
             machine_name, blocks,
-            BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE, **knobs),
+            BatchConfig(chunk_size=CHUNK, stage=STAGE, **knobs),
         )
 
 
@@ -83,7 +75,6 @@ def assert_same_outcome(result, reference):
 class TestRetryPolicy:
     def test_defaults_validate(self):
         RetryPolicy().validate()
-        TimeoutPolicy().validate()
         BatchConfig().validate()
 
     @pytest.mark.parametrize("bad", [
@@ -93,7 +84,6 @@ class TestRetryPolicy:
         dict(backoff_factor=0.5),
         dict(jitter=1.5),
         dict(jitter=-0.1),
-        dict(max_pool_restarts=-1),
     ])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
@@ -133,28 +123,18 @@ class TestRetryPolicy:
             delay = policy.delay(chunk, 1)
             assert 0.1 <= delay <= 0.1 * 1.5
 
-    def test_timeout_policy_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            TimeoutPolicy(chunk_seconds=0).validate()
-        with pytest.raises(ValueError):
-            TimeoutPolicy(chunk_seconds=-1.0).validate()
-
     def test_batch_config_validates_on_error_and_policies(self):
         with pytest.raises(ValueError):
             BatchConfig(on_error="explode").validate()
         with pytest.raises(ValueError):
             BatchConfig(retry=RetryPolicy(retries=-1)).validate()
-        with pytest.raises(ValueError):
-            BatchConfig(timeout=TimeoutPolicy(chunk_seconds=0)).validate()
 
     def test_retryable_classification(self):
-        from repro.errors import (
-            CacheCorruptionError, ChunkTimeoutError, SchedulingError,
-        )
+        from repro.errors import CacheCorruptionError, SchedulingError
+
         assert is_retryable(SchedulingError("transient"))
-        assert is_retryable(WorkerCrashError("died"))
-        assert is_retryable(ChunkTimeoutError("slow"))
         assert is_retryable(CacheCorruptionError("scribbled"))
+        assert is_retryable(OSError("disk full"))
         assert not is_retryable(KeyError("BOGUS"))
         assert not is_retryable(ValueError("bad config"))
 
@@ -165,7 +145,7 @@ class TestRetryPolicy:
 
 
 class TestFaultSpec:
-    SPEC = "seed=42;crash@1;hang@2:1.5;sched@0#0,1;corrupt@3#*"
+    SPEC = "seed=42;sched@0#0,1;corrupt@3#*"
 
     def test_parse_round_trips_through_spec(self):
         plan = parse_faults(self.SPEC)
@@ -175,10 +155,9 @@ class TestFaultSpec:
     def test_parsed_rules(self):
         plan = parse_faults(self.SPEC)
         by_kind = {rule.kind: rule for rule in plan.rules}
-        assert by_kind["crash"].attempts == (0,)
-        assert by_kind["hang"].param == 1.5
         assert by_kind["sched"].attempts == (0, 1)
         assert by_kind["corrupt"].attempts == ()  # every attempt
+        assert parse_faults("sched@1").rules[0].attempts == (0,)
 
     def test_attempt_matching(self):
         transient = FaultRule("sched", chunk=2)
@@ -189,15 +168,17 @@ class TestFaultSpec:
         assert deterministic.matches(2, 0) and deterministic.matches(2, 9)
 
     def test_rules_apply_in_kind_order(self):
-        plan = parse_faults("crash@0#*;corrupt@0#*;sched@0#*")
+        plan = parse_faults("sched@0#*;corrupt@0#*")
         kinds = [rule.kind for rule in plan.rules_for(0, 0)]
-        assert kinds == ["corrupt", "sched", "crash"]
+        assert kinds == ["corrupt", "sched"]
 
     @pytest.mark.parametrize("bad", [
         "explode@0",          # unknown kind
         "sched",              # missing @chunk
         "sched@x",            # non-integer chunk
         "sched@-1",           # negative chunk
+        "crash@0",            # unknown kind: a stale profile fails loudly
+        "sched@0:1.5",        # rules take no parameter
     ])
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
@@ -227,8 +208,31 @@ class TestFaultSpec:
 
 
 # ----------------------------------------------------------------------
-# Serial-path recovery
+# Recovery
 # ----------------------------------------------------------------------
+
+
+def span_skeleton(tracer):
+    """The scheduling shape of a trace, recovery noise removed.
+
+    Keeps ``service:batch`` / ``batch:chunk`` / ``schedule:list`` --
+    the spans whose names, order, and attributes the determinism
+    contract covers.  ``resilience:*`` spans (recovery is *allowed* to
+    differ) and ``engine:create`` subtrees (a quarantined cache entry
+    legitimately recompiles instead of disk-hitting) are filtered out.
+    """
+    keep = {"service:batch", "batch:chunk", "schedule:list"}
+
+    def shape(span):
+        children = tuple(
+            shape(child) for child in span.children
+            if child.name in keep
+        )
+        return (span.name, tuple(sorted(span.attrs.items())), children)
+
+    return tuple(
+        shape(root) for root in tracer.roots if root.name in keep
+    )
 
 
 class TestSerialRecovery:
@@ -238,12 +242,12 @@ class TestSerialRecovery:
         with faults.injected(parse_faults("sched@0")):
             result = schedule_batch(
                 MACHINE, blocks,
-                BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE,
+                BatchConfig(chunk_size=CHUNK, stage=STAGE,
                             retry=RetryPolicy(retries=1, backoff_base=0.0)),
             )
         assert_same_outcome(result, reference)
         assert result.retries == 1
-        assert result.errors == [] and not result.degraded
+        assert result.errors == []
 
     def test_exhausted_budget_recovers_through_isolation(self):
         """A chunk that faults on *every* dispatch still comes back clean.
@@ -257,39 +261,91 @@ class TestSerialRecovery:
         with faults.injected(parse_faults("sched@0#*")):
             result = schedule_batch(
                 MACHINE, blocks,
-                BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE),
+                BatchConfig(chunk_size=CHUNK, stage=STAGE),
             )
         assert_same_outcome(result, reference)
         assert result.retries == 0 and result.quarantined == 0
 
-    def test_serial_crash_fault_is_retryable(self):
-        machine, blocks = workload()
-        reference = clean_serial(MACHINE, blocks)
-        with faults.injected(parse_faults("crash@1")):
-            result = schedule_batch(
-                MACHINE, blocks,
-                BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE,
-                            retry=RetryPolicy(retries=2, backoff_base=0.0)),
-            )
-        assert_same_outcome(result, reference)
-        assert result.retries == 1
-
     def test_recovered_runs_are_reproducible(self):
         machine, blocks = workload()
-        plan = parse_faults("sched@0;crash@1")
+        plan = parse_faults("sched@0;sched@1")
         outcomes = []
         for _ in range(2):
             with faults.injected(plan):
                 outcomes.append(schedule_batch(
                     MACHINE, blocks,
                     BatchConfig(
-                        workers=1, chunk_size=CHUNK, stage=STAGE,
+                        chunk_size=CHUNK, stage=STAGE,
                         retry=RetryPolicy(retries=1, backoff_base=0.0),
                     ),
                 ))
         first, second = outcomes
         assert_same_outcome(first, second)
         assert first.retries == second.retries == 2
+
+    def test_acceptance_matrix_sched_corruption(self, tmp_path):
+        """A seeded fault profile changes nothing a clean run reports.
+
+        Transient scheduling errors and corrupt disk-cache entries are
+        injected, and the recovered run's schedules, folded CheckStats,
+        and merged span skeleton are bit-for-bit identical to a clean
+        run over the same warmed cache.
+        """
+        machine, blocks = workload(ops=220, seed=31)
+        assert len(blocks) >= 9  # at least three chunks of four
+        knobs = dict(chunk_size=CHUNK, stage=STAGE,
+                     cache_dir=str(tmp_path))
+
+        # Warm the disk tier so the clean reference disk-hits.
+        clean_serial(MACHINE, blocks, cache_dir=str(tmp_path))
+
+        # corrupt@0#* -- chunk 0 scribbles the cache before its own
+        #   (cold) load on every attempt: a guaranteed quarantine.
+        # sched@1#0,1 -- two transient failures, inside the budget.
+        profile = parse_faults("seed=42;corrupt@0#*;sched@1#0,1")
+
+        was_enabled = obs.enabled()
+        obs.enable()
+        try:
+            obs.reset()
+            with faults.injected(FaultPlan()):
+                reference = schedule_batch(
+                    MACHINE, blocks, BatchConfig(**knobs)
+                )
+            reference_tree = span_skeleton(obs.TRACER)
+
+            obs.reset()
+            with faults.injected(profile):
+                result = schedule_batch(
+                    MACHINE, blocks,
+                    BatchConfig(
+                        retry=RetryPolicy(
+                            retries=2, backoff_base=0.01, seed=42,
+                        ),
+                        **knobs,
+                    ),
+                )
+            recovered_tree = span_skeleton(obs.TRACER)
+        finally:
+            if not was_enabled:
+                obs.disable()
+            obs.reset()
+
+        # Bit-for-bit: schedules, folded stats, merged span skeleton.
+        assert_same_outcome(result, reference)
+        assert recovered_tree == reference_tree
+
+        # The faults really happened and really were recovered.
+        assert result.errors == []
+        assert result.retries >= 1
+        # The corrupt entry really went through the production
+        # quarantine path, which counts it and leaves the renamed
+        # ``*.bad`` artifact behind.
+        quarantine_evidence = (
+            result.cache_stats.disk_quarantined
+            + len(list(tmp_path.glob("*.bad")))
+        )
+        assert quarantine_evidence >= 1
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +375,7 @@ class TestQuarantine:
         machine, blocks = self._poisoned_workload()
         result = schedule_batch(
             MACHINE, blocks,
-            BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE,
+            BatchConfig(chunk_size=CHUNK, stage=STAGE,
                         on_error="report"),
         )
         assert result.quarantined == 1
@@ -351,215 +407,11 @@ class TestQuarantine:
         with pytest.raises(ServiceError) as excinfo:
             schedule_batch(
                 MACHINE, blocks,
-                BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE),
+                BatchConfig(chunk_size=CHUNK, stage=STAGE),
             )
         (failure,) = excinfo.value.failures
         assert failure.block_index == self.POISONED
         assert failure.error_type == "KeyError"
-
-    def test_parallel_quarantine_matches_serial(self):
-        machine, blocks = self._poisoned_workload()
-        serial = schedule_batch(
-            MACHINE, blocks,
-            BatchConfig(workers=1, chunk_size=CHUNK, stage=STAGE,
-                        on_error="report"),
-        )
-        parallel = schedule_batch(
-            MACHINE, blocks,
-            BatchConfig(workers=N_WORKERS, chunk_size=CHUNK, stage=STAGE,
-                        on_error="report"),
-        )
-        assert_same_outcome(parallel, serial)
-        assert parallel.errors == serial.errors
-
-
-# ----------------------------------------------------------------------
-# Pool-path recovery
-# ----------------------------------------------------------------------
-
-
-def span_skeleton(tracer):
-    """The scheduling shape of a trace, recovery noise removed.
-
-    Keeps ``service:batch`` / ``batch:chunk`` / ``schedule:list`` --
-    the spans whose names, order, and attributes the determinism
-    contract covers.  ``resilience:*`` spans (recovery is *allowed* to
-    differ) and ``engine:create`` subtrees (a quarantined cache entry
-    legitimately recompiles instead of disk-hitting) are filtered out.
-    """
-    keep = {"service:batch", "batch:chunk", "schedule:list"}
-    varying = ("workers",)
-
-    def shape(span):
-        attrs = tuple(sorted(
-            (key, value) for key, value in span.attrs.items()
-            if key not in varying
-        ))
-        children = tuple(
-            shape(child) for child in span.children
-            if child.name in keep
-        )
-        return (span.name, attrs, children)
-
-    return tuple(
-        shape(root) for root in tracer.roots if root.name in keep
-    )
-
-
-class TestPoolRecovery:
-    def test_worker_crash_recovers_bit_for_bit(self):
-        machine, blocks = workload()
-        reference = clean_serial(MACHINE, blocks)
-        with faults.injected(parse_faults("crash@0")):
-            result = schedule_batch(
-                MACHINE, blocks,
-                BatchConfig(workers=N_WORKERS, chunk_size=CHUNK,
-                            stage=STAGE),
-            )
-        assert_same_outcome(result, reference)
-        assert result.pool_restarts >= 1
-        assert result.errors == [] and not result.degraded
-
-    def test_acceptance_matrix_crash_hang_corruption(self, tmp_path):
-        """The ISSUE acceptance criterion, verbatim.
-
-        A seeded profile injects a worker crash, a hung chunk tripping
-        the timeout budget, transient scheduling errors, and corrupt
-        disk-cache entries -- and the recovered run's schedules, folded
-        CheckStats, and merged span skeleton are bit-for-bit identical
-        to a clean serial run over the same warmed cache.
-        """
-        machine, blocks = workload(ops=220, seed=31)
-        assert len(blocks) >= 17  # at least five chunks of four
-        knobs = dict(chunk_size=CHUNK, stage=STAGE,
-                     cache_dir=str(tmp_path))
-
-        # Warm the disk tier so the clean reference disk-hits.
-        clean_serial(MACHINE, blocks, cache_dir=str(tmp_path))
-
-        # corrupt@0#* -- chunk 0 scribbles the cache before its own
-        #   (cold) load on every dispatch: a guaranteed quarantine.
-        # sched@1#0,1 -- two transient failures, inside the budget.
-        # hang@2#0,1:3.0 + a 1s chunk budget -- a guaranteed timeout.
-        # crash@3 -- one real worker death (BrokenProcessPool).
-        profile = parse_faults(
-            "seed=42;corrupt@0#*;sched@1#0,1;hang@2#0,1:3.0;crash@3"
-        )
-
-        was_enabled = obs.enabled()
-        obs.enable()
-        try:
-            obs.reset()
-            with faults.injected(FaultPlan()):
-                reference = schedule_batch(
-                    MACHINE, blocks, BatchConfig(workers=1, **knobs)
-                )
-            reference_tree = span_skeleton(obs.TRACER)
-
-            obs.reset()
-            with faults.injected(profile):
-                result = schedule_batch(
-                    MACHINE, blocks,
-                    BatchConfig(
-                        workers=4,
-                        retry=RetryPolicy(
-                            retries=2, backoff_base=0.01,
-                            max_pool_restarts=4, seed=42,
-                        ),
-                        timeout=TimeoutPolicy(chunk_seconds=1.0),
-                        **knobs,
-                    ),
-                )
-            recovered_tree = span_skeleton(obs.TRACER)
-            registry = obs.REGISTRY
-            assert registry.value(
-                "repro_resilience_pool_restarts_total") >= 1
-            assert registry.value("repro_resilience_timeouts_total") >= 1
-        finally:
-            if not was_enabled:
-                obs.disable()
-            obs.reset()
-
-        # Bit-for-bit: schedules, folded stats, merged span skeleton.
-        assert_same_outcome(result, reference)
-        assert recovered_tree == reference_tree
-
-        # The faults really happened and really were recovered.
-        assert result.errors == [] and not result.degraded
-        assert result.pool_restarts >= 2   # >=1 crash, >=1 timeout
-        assert result.timeouts >= 1
-        assert result.retries >= 1
-        # The corrupt entry really went through the production
-        # quarantine path.  The folded counter only sees quarantines
-        # from *surviving* attempts (a discarded attempt's stats are
-        # discarded with it, by design), but a quarantine always leaves
-        # the renamed ``*.bad`` artifact behind -- so the union is
-        # deterministic evidence even under pool-timing races.
-        quarantine_evidence = (
-            result.cache_stats.disk_quarantined
-            + len(list(tmp_path.glob("*.bad")))
-        )
-        assert quarantine_evidence >= 1
-
-    def test_repeated_pool_failure_degrades_to_serial(self):
-        machine, blocks = workload()
-        reference = clean_serial(MACHINE, blocks)
-        with faults.injected(parse_faults("crash@0#*")):
-            result = schedule_batch(
-                MACHINE, blocks,
-                BatchConfig(
-                    workers=N_WORKERS, chunk_size=CHUNK, stage=STAGE,
-                    retry=RetryPolicy(max_pool_restarts=1,
-                                      backoff_base=0.0),
-                ),
-            )
-        assert result.degraded
-        assert result.pool_restarts == 2
-        # The serial fallback still recovers chunk 0 (isolation probes
-        # with injection suppressed) -- output stays bit-for-bit clean.
-        assert_same_outcome(result, reference)
-        assert result.errors == []
-
-
-# ----------------------------------------------------------------------
-# Worker seeding (the parent compiles, the pool initializer hands it on)
-# ----------------------------------------------------------------------
-
-
-class TestWorkerSeeding:
-    def test_default_config_seeds(self):
-        assert _seeding_enabled(BatchConfig(), None)
-        assert _seeding_enabled(BatchConfig(), FaultPlan())
-
-    def test_lmdes_file_runs_never_seed(self):
-        config = BatchConfig(lmdes_path="/tmp/some.lmdes.json")
-        assert not _seeding_enabled(config, None)
-
-    def test_corrupt_fault_profile_disables_seeding(self):
-        plan = parse_faults("seed=1;corrupt@0#*")
-        assert not _seeding_enabled(BatchConfig(), plan)
-
-    def test_crash_and_sched_profiles_keep_seeding(self):
-        assert _seeding_enabled(BatchConfig(), parse_faults("crash@0"))
-        assert _seeding_enabled(
-            BatchConfig(), parse_faults("seed=2;sched@0#*")
-        )
-
-    def test_warm_lent_cache_compiles_nothing_in_the_pool(self):
-        """Workers seeded from a warm lent cache never compile."""
-        machine, blocks = workload(ops=60, seed=23)
-        cache = DescriptionCache()
-        config = BatchConfig(
-            backend="bitvector", stage=STAGE, chunk_size=8,
-        )
-        schedule_batch(MACHINE, blocks, config, cache=cache)
-        assert cache.stats.misses  # the warming run compiled
-        result = schedule_batch(
-            MACHINE, blocks, dataclasses.replace(config, workers=2),
-            cache=cache,
-        )
-        assert result.cache_stats.misses == 0
-        assert result.cache_stats.hits >= 1
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +431,7 @@ class TestRecoveryMetrics:
                 schedule_batch(
                     MACHINE, poisoned,
                     BatchConfig(
-                        workers=1, chunk_size=CHUNK, stage=STAGE,
+                        chunk_size=CHUNK, stage=STAGE,
                         on_error="report",
                         retry=RetryPolicy(retries=1, backoff_base=0.0),
                     ),

@@ -72,7 +72,7 @@ class TestIntrospection:
                 assert body["admission"]["draining"] is False
                 assert body["cache"]["entries"] == 0
                 assert body["resilience"]["retries"] == 0
-                assert body["pool"]["workers"] == 1
+                assert body["pool"]["inflight_runs"] == 0
         run(scenario())
 
     def test_machines_and_engines_routes(self):
@@ -227,12 +227,12 @@ class TestBatchRoute:
         assert body["schedules"] == serial.to_dict()["schedules"]
 
     def test_server_side_config_knobs_stay_server_side(self):
-        # Placement and pool width are deployment settings, and the
-        # sharing knob is no BatchConfig field at all: a client body
-        # setting any of them is a typed 400, never an override.
+        # Placement is a deployment setting, and the other keys are no
+        # BatchConfig field at all: a client body setting any of them
+        # is a typed 400, never an override.
         knobs = {
             "cache_dir": "/tmp/evil", "workers": 2,
-            "shared_descriptions": True,
+            "shared_descriptions": True, "chunk_timeout_seconds": 2.5,
         }
 
         async def scenario():
@@ -349,6 +349,34 @@ class TestDeadlines:
                 # request (no deadline) still completes.
                 app.state.batcher._runner = original
                 ok = await client.post("/v1/schedule", payload())
+                health = (await client.get("/healthz")).json()
+                return late, ok, health
+        late, ok, health = run(scenario())
+        assert late.status == 504
+        assert late.json()["error"] == "DeadlineExceededError"
+        assert ok.status == 200
+        assert health["admission"]["inflight"] == 0
+
+    def test_batch_route_deadline_maps_to_504(self):
+        app = make_app()
+
+        async def scenario():
+            async with AsgiClient(app) as client:
+                original = app.state.submitter.submit_captured
+
+                async def slow_submit(request):
+                    await asyncio.sleep(0.3)
+                    return await original(request)
+
+                app.state.submitter.submit_captured = slow_submit
+                late = await client.post(
+                    "/v1/schedule/batch",
+                    payload("K5", 40, 1, deadline_seconds=0.02),
+                )
+                app.state.submitter.submit_captured = original
+                ok = await client.post(
+                    "/v1/schedule/batch", payload("K5", 40, 1)
+                )
                 health = (await client.get("/healthz")).json()
                 return late, ok, health
         late, ok, health = run(scenario())
@@ -513,10 +541,7 @@ class TestConcurrency:
         assert health["batcher"]["batched_requests_total"] == self.REQUESTS
         assert health["batcher"]["batches_total"] < self.REQUESTS
         # A clean run recovers from nothing.
-        assert health["resilience"] == {
-            "retries": 0, "timeouts": 0, "pool_restarts": 0,
-            "degraded_runs": 0, "quarantined": 0,
-        }
+        assert health["resilience"] == {"retries": 0, "quarantined": 0}
         assert health["admission"]["rejected_total"] == 0
         assert health["requests_total"] == self.REQUESTS
 
@@ -566,14 +591,14 @@ class TestWireModels:
             {
                 "machine": "K5",
                 "workload": {"total_ops": 30, "seed": 1},
-                "config": {"retries": 1, "chunk_timeout_seconds": 2.5},
+                "config": {"retries": 1, "chunk_size": 8},
                 "include_schedules": False,
             },
             base_config=BatchConfig(cache_dir="/srv/cache"),
         )
         assert include is False
         assert request.config.retry.retries == 1
-        assert request.config.timeout.chunk_seconds == 2.5
+        assert request.config.chunk_size == 8
         # The server-side placement knob survives the overlay.
         assert request.config.cache_dir == "/srv/cache"
 
@@ -642,8 +667,5 @@ class TestSynthFleetChurn:
         assert cache["entries"] <= 64
         assert cache["evictions"] > 0
         # ...and churn produced zero resilience events.
-        assert health["resilience"] == {
-            "retries": 0, "timeouts": 0, "pool_restarts": 0,
-            "degraded_runs": 0, "quarantined": 0,
-        }
+        assert health["resilience"] == {"retries": 0, "quarantined": 0}
         assert health["status"] == "ok"

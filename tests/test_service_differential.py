@@ -3,9 +3,8 @@
 The paper's invariant is that changing how constraints are *checked*
 never changes what gets *scheduled*.  This suite extends that invariant
 to the service layer: for every machine x backend pair, the serial
-chunked reference, ``schedule_batch`` with one worker, and
-``schedule_batch`` with N workers must produce bit-for-bit identical
-schedules and identical summed :class:`CheckStats`.
+chunked reference and ``schedule_batch`` must produce bit-for-bit
+identical schedules and identical summed :class:`CheckStats`.
 
 The reference implementation here is deliberately independent of
 ``repro.service``: it chunks the block list by hand and runs the plain
@@ -13,8 +12,6 @@ The reference implementation here is deliberately independent of
 stats with ``__iadd__`` -- exactly what a correct batch driver must be
 equivalent to.
 """
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,13 +26,11 @@ from repro.engine import (
     get_engine_spec,
 )
 from repro.lowlevel.checker import CheckStats
-from repro.machines import MACHINE_NAMES, get_machine
+from repro.machines import MACHINE_NAMES
 from repro.scheduler import schedule_workload
 from repro.service import BatchConfig, schedule_batch
 from tests.conftest import shared_workload
 
-#: Worker count for the parallel leg; CI sets REPRO_BATCH_WORKERS=2.
-N_WORKERS = max(2, int(os.environ.get("REPRO_BATCH_WORKERS", "2")))
 CHUNK = 8
 STAGE = 4
 BACKENDS = engine_names(scheduler="list")
@@ -50,7 +45,7 @@ def cache_dir(tmp_path_factory):
     """One disk tier for the module's serial reference and batch legs.
 
     The serial reference runs first and stores each (machine, backend)
-    compile; both batch legs then load the LMDES artifact instead of
+    compile; the batch run then loads the LMDES artifact instead of
     recompiling (on a 2-vCPU VM, K5 flat-OR at stage 4 compiled in
     0.14 s, or 0.21 s with the Eichenberger-Davidson reduction, and its
     artifact loaded in 0.04 s).
@@ -84,35 +79,27 @@ def serial_chunked_reference(machine, blocks, backend, cache_dir,
 class TestDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("machine_name", MACHINE_NAMES)
-    def test_serial_one_worker_and_n_workers_agree(
+    def test_batch_matches_serial_chunked_reference(
         self, machine_name, backend, cache_dir
     ):
         machine, blocks = workload(machine_name)
         signature, stats, ops, cycles = serial_chunked_reference(
             machine, blocks, backend, cache_dir
         )
-
-        results = {
-            workers: schedule_batch(
-                machine_name,
-                blocks,
-                BatchConfig(
-                    backend=backend,
-                    stage=STAGE,
-                    workers=workers,
-                    chunk_size=CHUNK,
-                    cache_dir=cache_dir,
-                ),
-            )
-            for workers in (1, N_WORKERS)
-        }
-        for workers, result in results.items():
-            label = f"{machine_name}/{backend}/workers={workers}"
-            assert result.signature() == signature, label
-            assert result.stats == stats, label
-            assert result.total_ops == ops, label
-            assert result.total_cycles == cycles, label
-            assert result.workers == workers
+        result = schedule_batch(
+            machine_name,
+            blocks,
+            BatchConfig(
+                backend=backend,
+                stage=STAGE,
+                chunk_size=CHUNK,
+                cache_dir=cache_dir,
+            ),
+        )
+        assert result.signature() == signature
+        assert result.stats == stats
+        assert result.total_ops == ops
+        assert result.total_cycles == cycles
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_unchunked_serial_run(self, backend):
@@ -131,8 +118,7 @@ class TestDifferential:
         batch = schedule_batch(
             "SuperSPARC",
             blocks,
-            BatchConfig(backend=backend, stage=STAGE, workers=N_WORKERS,
-                        chunk_size=CHUNK),
+            BatchConfig(backend=backend, stage=STAGE, chunk_size=CHUNK),
         )
         assert batch.signature() == tuple(
             s.signature() for s in serial.schedules
@@ -152,7 +138,7 @@ class TestDifferential:
             "SuperSPARC",
             suite.workload("SuperSPARC"),
             BatchConfig(backend="bitvector", stage=STAGE,
-                        workers=N_WORKERS, chunk_size=CHUNK),
+                        chunk_size=CHUNK),
         )
         assert batch.signature() == tuple(
             s.signature() for s in reference.schedules
@@ -166,7 +152,7 @@ class TestDifferential:
         batch = schedule_batch(
             "Pentium",
             blocks,
-            BatchConfig(workers=N_WORKERS, chunk_size=5),
+            BatchConfig(chunk_size=5),
         )
         assert len(batch.schedules) == len(blocks)
         for schedule, block in zip(batch.schedules, blocks):
@@ -187,22 +173,27 @@ class TestDifferential:
         ops=st.integers(min_value=20, max_value=160),
         chunk=st.integers(min_value=1, max_value=24),
     )
-    def test_property_worker_count_is_unobservable(self, seed, ops, chunk):
-        """For random workloads and chunkings, worker count never shows
-        up in the result (automata included: fresh engine per chunk)."""
+    def test_property_batch_matches_serial_chunked_reference(
+        self, cache_dir, seed, ops, chunk
+    ):
+        """For random workloads and chunkings, the batch driver equals
+        the hand-chunked reference (automata included: its memo table
+        restarts with every chunk's fresh engine)."""
         machine, blocks = workload("K5", ops=ops, seed=seed)
-        outcomes = [
-            schedule_batch(
-                "K5",
-                blocks,
-                BatchConfig(backend="automata", stage=STAGE,
-                            workers=workers, chunk_size=chunk),
-            )
-            for workers in (1, N_WORKERS)
-        ]
-        assert outcomes[0].signature() == outcomes[1].signature()
-        assert outcomes[0].stats == outcomes[1].stats
-        assert outcomes[0].chunk_count == outcomes[1].chunk_count
+        signature, stats, total_ops, cycles = serial_chunked_reference(
+            machine, blocks, "automata", cache_dir, chunk=chunk
+        )
+        result = schedule_batch(
+            "K5",
+            blocks,
+            BatchConfig(backend="automata", stage=STAGE,
+                        chunk_size=chunk, cache_dir=cache_dir),
+        )
+        assert result.signature() == signature
+        assert result.stats == stats
+        assert result.total_ops == total_ops
+        assert result.total_cycles == cycles
+        assert result.chunk_count == -(-len(blocks) // chunk)
 
 
 class TestBatchConfig:
@@ -211,94 +202,63 @@ class TestBatchConfig:
         with pytest.raises(ValueError, match="mutually exclusive"):
             config.validate()
 
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            BatchConfig(workers=0).validate()
-
     def test_chunk_size_must_be_positive(self):
         with pytest.raises(ValueError, match="chunk_size"):
             BatchConfig(chunk_size=0).validate()
 
-    def test_unregistered_machine_rejected_for_parallel_runs(self):
-        real = get_machine("K5")
-
-        class Impostor:
-            name = "K5"
-
-            def build_andor(self):
-                return real.build_andor()
-
-        _, blocks = workload("K5", ops=20)
-        with pytest.raises(ValueError, match="registry"):
-            schedule_batch(Impostor(), blocks, BatchConfig(workers=2))
-
 
 class TestSpanMergeDeterminism:
-    """Worker-to-parent trace grafting obeys the determinism contract.
+    """Chunk-trace grafting obeys the determinism contract.
 
     The driver attaches each chunk's captured spans in chunk order, so
     the merged trace tree -- names, nesting, order, and every
-    non-timing attribute -- must be identical for 1 and N workers, just
-    like the schedules and the stats fold.  The disk cache is warmed
-    first so compile work (which legitimately differs per process)
-    collapses to disk hits in every process.
+    non-timing attribute -- is identical from run to run, just like the
+    schedules and the stats fold.  The disk cache is warmed first so
+    compile work collapses to disk hits in both traced runs.
     """
-
-    #: Attributes that legitimately differ between runs (timings carry
-    #: none; the batch root records its own worker count).
-    _VARYING = ("workers",)
 
     @classmethod
     def _shape(cls, span):
-        attrs = tuple(sorted(
-            (key, value) for key, value in span.attrs.items()
-            if key not in cls._VARYING
-        ))
-        return (span.name, attrs,
+        return (span.name, tuple(sorted(span.attrs.items())),
                 tuple(cls._shape(child) for child in span.children))
 
     @classmethod
     def _tree(cls, tracer):
         return tuple(cls._shape(root) for root in tracer.roots)
 
-    def test_one_and_n_workers_merge_to_the_same_tree(self, tmp_path):
+    def test_chunk_spans_merge_in_chunk_order(self, tmp_path):
         from repro import obs
 
         machine_name = "PA7100"
         _, blocks = workload(machine_name, ops=120)
-        knobs = dict(
+        config = BatchConfig(
             backend="bitvector", stage=STAGE, chunk_size=4,
             cache_dir=str(tmp_path),
         )
-        # Warm the disk tier: every later process disk-hits its compile.
-        schedule_batch(machine_name, blocks,
-                       BatchConfig(workers=1, **knobs))
+        # Warm the disk tier: both traced runs disk-hit their compile.
+        schedule_batch(machine_name, blocks, config)
 
         was_enabled = obs.enabled()
         obs.enable()
+        trees = []
         try:
-            obs.reset()
-            schedule_batch(machine_name, blocks,
-                           BatchConfig(workers=1, **knobs))
-            serial_tree = self._tree(obs.TRACER)
-            obs.reset()
-            schedule_batch(machine_name, blocks,
-                           BatchConfig(workers=N_WORKERS, **knobs))
-            parallel_tree = self._tree(obs.TRACER)
+            for _ in range(2):
+                obs.reset()
+                schedule_batch(machine_name, blocks, config)
+                trees.append(self._tree(obs.TRACER))
         finally:
             if not was_enabled:
                 obs.disable()
             obs.reset()
 
-        assert serial_tree == parallel_tree
+        assert trees[0] == trees[1]
         # The tree really is the batch structure: one service root whose
         # chunk children carry ascending indexes.
-        (root,) = parallel_tree
+        (root,) = trees[0]
         name, _, children = root
         assert name == "service:batch"
         chunk_indexes = [
             dict(attrs)["index"]
             for name, attrs, _ in children if name == "batch:chunk"
         ]
-        assert chunk_indexes == sorted(chunk_indexes)
-        assert len(chunk_indexes) == -(-len(blocks) // 4)
+        assert chunk_indexes == list(range(-(-len(blocks) // 4)))

@@ -4,7 +4,7 @@ The fleet generator's contract, pinned four ways:
 
 * **Determinism**: the same ``(family, seed, index)`` triple builds
   byte-identical HMDES source in any process -- the property that lets
-  batch-pool workers, the server, and the sweep driver rebuild any
+  the server, the sweep driver and the disk cache rebuild or find any
   variant from its registry name alone.
 * **Full-stack legality**: every variant's source is writer-serialized
   HMDES, so building it exercises the writer -> parser -> translator

@@ -297,7 +297,7 @@ class TestVerifySurface:
         machine, blocks = shared_workload("K5", 120, 7)
         result = schedule_batch(
             "K5", blocks,
-            BatchConfig(workers=1, stage=STAGE, verify=True),
+            BatchConfig(stage=STAGE, verify=True),
         )
         assert result.verify_report is not None
         assert result.verify_report.ok
@@ -306,7 +306,7 @@ class TestVerifySurface:
     def test_batch_service_skips_oracle_by_default(self):
         machine, blocks = shared_workload("K5", 120, 7)
         result = schedule_batch(
-            "K5", blocks, BatchConfig(workers=1, stage=STAGE),
+            "K5", blocks, BatchConfig(stage=STAGE),
         )
         assert result.verify_report is None
 
