@@ -11,17 +11,19 @@ Commands:
 * ``expand FILE -o OUT`` -- the AND/OR -> OR preprocessor.
 * ``generate --machine NAME --ops N -o FILE`` -- synthesize a workload
   trace.
-* ``schedule (--machine NAME | --trace FILE) [options]`` -- schedule a
-  workload and report the paper's statistics.
+* ``schedule (--machine NAME | --trace FILE) [--backend NAME]
+  [options]`` -- schedule a workload on one registered backend and
+  report the paper's statistics.
 * ``exact --machine NAME [--ops N] [--node-budget N]
   [--time-budget S] [--max-block-ops N]`` -- schedule a small workload
   with the branch-and-bound exact scheduler and report the per-block
   optimality gap against the list-scheduler seed.
-* ``schedule-batch (--machine NAME | --trace FILE) [--chunk-size N]
-  [--cache-dir DIR] [--retries N] [--on-error raise|report]
-  [options]`` -- schedule a workload in chunks with a persistent
-  on-disk description cache, retrying recoverable faults and
-  quarantining poisoned blocks.
+* ``schedule-batch (--machine NAME | --trace FILE) [--lmdes FILE]
+  [--chunk-size N] [--cache-dir DIR] [--retries N]
+  [--on-error raise|report] [options]`` -- schedule a workload in
+  chunks with a persistent on-disk description cache (or against a
+  shipped LMDES file), retrying recoverable faults and quarantining
+  poisoned blocks.
 * ``serve [--host H] [--port P] [--cache-dir DIR] [--prewarm NAME]
   [--max-inflight N] [--per-client N] [--deadline S]`` -- run the
   long-running scheduling service: POST workloads to
@@ -51,9 +53,13 @@ Commands:
   a collapsed-stack flamegraph.
 * ``report [--ops N] [-o FILE]`` -- regenerate EXPERIMENTS.md.
 
-``schedule --json`` / ``schedule-batch --json`` embed the obs digest
-(per-phase seconds and per-transform size/option deltas); ``REPRO_OBS=1``
-turns recording on for library use.
+``schedule``, ``exact``, ``schedule-batch`` and the live ``verify``
+matrix build a ``ScheduleRequest`` / ``BatchRequest`` and schedule
+through :mod:`repro.api`, as the server does.  Their ``--json`` is the
+``ScheduleResponse`` wire form without the schedules, plus the obs
+digest (per-phase seconds and per-transform size/option deltas) and, for
+exact runs, the per-block gap table; ``REPRO_OBS=1`` turns recording on
+for library use.
 """
 
 from __future__ import annotations
@@ -234,14 +240,30 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _workload(args: argparse.Namespace, name: Optional[str] = None):
+    """``(machine, blocks)`` read from ``--trace``, or generated for the
+    machine *name* (default ``--machine``) from ``--ops`` and ``--seed``."""
+    from repro.errors import RequestError
     from repro.workloads import WorkloadConfig, generate_blocks
-    from repro.workloads.trace import write_trace
+    from repro.workloads.trace import read_trace
 
-    machine = get_machine(args.machine)
-    blocks = generate_blocks(
+    if getattr(args, "trace", None):
+        with open(args.trace) as handle:
+            trace_machine, blocks = read_trace(handle.read())
+        return get_machine(args.machine or trace_machine), blocks
+    name = name or args.machine
+    if not name:
+        raise RequestError("needs --machine or --trace")
+    machine = get_machine(name)
+    return machine, generate_blocks(
         machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
     )
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.workloads.trace import write_trace
+
+    machine, blocks = _workload(args)
     text = write_trace(blocks, machine.name)
     with open(args.output, "w") as handle:
         handle.write(text)
@@ -291,143 +313,9 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.transforms.pipeline import staged_mdes
-    from repro.errors import MdesError
-    from repro.lowlevel import compile_mdes
-    from repro.scheduler import schedule_workload
-    from repro.workloads import WorkloadConfig, generate_blocks
-    from repro.workloads.trace import read_trace
-
-    if args.backend and args.lmdes:
-        print("schedule --backend and --lmdes are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.json or args.trace_out:
-        # Machine-readable output embeds the obs digest, so recording
-        # must be on for this run regardless of REPRO_OBS.
-        obs.enable()
-        obs.reset()
-    if args.trace:
-        with open(args.trace) as handle:
-            machine_name, blocks = read_trace(handle.read())
-        machine = get_machine(args.machine or machine_name)
-    elif args.lmdes:
-        if not args.machine:
-            print("schedule --lmdes needs --machine for the workload "
-                  "profile", file=sys.stderr)
-            return 2
-        machine = get_machine(args.machine)
-        blocks = generate_blocks(
-            machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
-        )
-    else:
-        if not args.machine:
-            print("schedule needs --machine or --trace", file=sys.stderr)
-            return 2
-        machine = get_machine(args.machine)
-        blocks = generate_blocks(
-            machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
-        )
-    if args.backend:
-        from repro.engine import get_engine_spec
-
-        if get_engine_spec(args.backend).scheduler == "exact":
-            return _run_exact_cmd(
-                machine, blocks, args.backend, args.stage,
-                None, None, args.json,
-            )
-    with obs.span("cli:schedule", machine=machine.name) as sp:
-        if args.backend:
-            from repro import api
-            from repro.errors import RequestError
-
-            try:
-                response = api.schedule(api.ScheduleRequest(
-                    machine=machine, blocks=tuple(blocks),
-                    backend=args.backend, stage=args.stage,
-                ))
-            except (MdesError, RequestError) as exc:
-                print(f"schedule --backend {args.backend}: {exc}",
-                      file=sys.stderr)
-                return 2
-            result = response.result
-            configuration = f"backend {args.backend}"
-        else:
-            if args.lmdes:
-                from repro.lowlevel.serialize import load_lmdes
-
-                with open(args.lmdes) as handle:
-                    compiled = load_lmdes(handle.read())
-            else:
-                base = (
-                    machine.build_or()
-                    if args.rep == "or"
-                    else machine.build_andor()
-                )
-                mdes = staged_mdes(base, args.stage)
-                compiled = compile_mdes(
-                    mdes, bitvector=not args.no_bitvector
-                )
-            result = schedule_workload(machine, compiled, blocks)
-            configuration = args.rep
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            handle.write(obs.trace_to_jsonl(obs.TRACER))
-    stats = result.stats
-    if args.json:
-        print(json.dumps(
-            {
-                "machine": machine.name,
-                "configuration": configuration,
-                "stage": args.stage,
-                "ops": result.total_ops,
-                "cycles": result.total_cycles,
-                "attempts": stats.attempts,
-                "attempts_per_op": result.attempts_per_op,
-                "options_per_attempt": stats.options_per_attempt,
-                "checks_per_attempt": stats.checks_per_attempt,
-                "checks_per_option": stats.checks_per_option,
-                "wall_seconds": sp.seconds,
-                "obs": obs.summary(),
-            },
-            indent=2,
-        ))
-        return 0
-    print(f"machine:             {machine.name} ({configuration}, "
-          f"stage {args.stage})")
-    print(f"operations:          {result.total_ops}")
-    print(f"schedule cycles:     {result.total_cycles}")
-    print(f"attempts/op:         {result.attempts_per_op:.2f}")
-    print(f"options/attempt:     {stats.options_per_attempt:.2f}")
-    print(f"checks/attempt:      {stats.checks_per_attempt:.2f}")
-    print(f"checks/option:       {stats.checks_per_option:.2f}")
-    return 0
-
-
-def _run_exact_cmd(
-    machine, blocks, backend, stage, budget, max_block_ops, as_json,
-) -> int:
-    """Shared body of ``exact`` and ``schedule --backend exact``."""
-    import json
-
-    from repro import api, obs
-
-    if as_json:
-        obs.enable()
-        obs.reset()
-    with obs.span("cli:exact", machine=machine.name) as sp:
-        run = api.schedule_exact(
-            api.ScheduleRequest(
-                machine=machine, blocks=tuple(blocks),
-                backend=backend, stage=stage,
-            ),
-            budget=budget, max_block_ops=max_block_ops,
-        ).result
-    per_block = [
+def _per_block(run) -> List[dict]:
+    """The gap table of an exact run, one row per block."""
+    return [
         {
             "ops": len(result.schedule.block),
             "length": result.length,
@@ -442,204 +330,182 @@ def _run_exact_cmd(
         }
         for result in run.results
     ]
-    if as_json:
-        print(json.dumps(
-            {
-                "machine": machine.name,
-                "backend": backend,
-                "stage": stage,
-                "blocks": len(run.results),
-                "ops": run.total_ops,
-                "cycles": run.total_cycles,
-                "heuristic_cycles": run.heuristic_cycles,
-                "gap_cycles": run.gap_cycles,
-                "optimal_blocks": run.optimal_blocks,
-                "nodes": run.nodes,
-                "repairs": run.repairs,
-                "pruned": run.pruned,
-                "wall_seconds": sp.seconds,
-                "per_block": per_block,
-                "obs": obs.summary(),
-            },
-            indent=2,
-        ))
+
+
+def _show_response(args: argparse.Namespace, response) -> int:
+    """Print a :class:`~repro.service.ScheduleResponse`.
+
+    ``--json`` prints its wire form without the schedules, plus the obs
+    digest and, for exact runs, the ``per_block`` gap table; otherwise
+    one human summary, with the chunk, cache, oracle, resilience and
+    exact lines the envelope carries.
+    """
+    import json
+
+    from repro import obs
+
+    exact = response.exact
+    per_block = _per_block(response.result) if exact is not None else None
+    if args.json:
+        document = response.to_dict(include_schedules=False)
+        if per_block is not None:
+            document["per_block"] = per_block
+        document["obs"] = obs.summary()
+        print(json.dumps(document, indent=2))
         return 0
-    print(f"machine:             {machine.name} (backend {backend}, "
-          f"stage {stage})")
-    print(f"blocks:              {len(run.results)} "
-          f"({run.optimal_blocks} proven optimal)")
-    print(f"operations:          {run.total_ops}")
-    print(f"exact cycles:        {run.total_cycles}")
-    print(f"heuristic cycles:    {run.heuristic_cycles}")
-    print(f"gap (cycles saved):  {run.gap_cycles}")
-    print(f"search nodes:        {run.nodes} "
-          f"({run.repairs} repair(s), {run.pruned} pruned)")
-    print(f"wall seconds:        {run.seconds:.3f}")
-    print()
-    print("block   ops  exact  heur  gap  lower  reason       nodes")
-    for index, entry in enumerate(per_block):
-        print(
-            f"{index:5d} {entry['ops']:5d} {entry['length']:6d} "
-            f"{entry['heuristic_length']:5d} {entry['gap']:4d} "
-            f"{entry['lower_bound']:6d}  {entry['reason']:11s} "
-            f"{entry['nodes']:6d}"
+    print(f"machine:             {response.machine} (backend "
+          f"{response.backend}, stage {response.stage})")
+    if response.kind == "batch":
+        print(f"chunks:              {response.result.chunk_count}")
+    if exact is not None:
+        print(f"blocks:              {response.blocks} "
+              f"({exact['optimal_blocks']} proven optimal)")
+    print(f"operations:          {response.ops}")
+    print(f"schedule cycles:     {response.cycles}")
+    if exact is not None:
+        print(f"heuristic cycles:    {exact['heuristic_cycles']}")
+        print(f"gap (cycles saved):  {exact['gap_cycles']}")
+        print(f"search nodes:        {exact['nodes']} "
+              f"({exact['repairs']} repair(s), {exact['pruned']} pruned)")
+    else:
+        options = response.options_per_attempt
+        checks = response.checks_per_attempt
+        print(f"attempts/op:         {response.attempts_per_op:.2f}")
+        print(f"options/attempt:     {options:.2f}")
+        print(f"checks/attempt:      {checks:.2f}")
+        print(f"checks/option:       "
+              f"{checks / options if options else 0.0:.2f}")
+    print(f"wall seconds:        {response.wall_seconds:.3f}")
+    cache = response.cache
+    if cache and getattr(args, "cache_dir", None):
+        print(f"description cache:   {cache['disk_hits']} disk hit(s), "
+              f"{cache['disk_misses']} miss(es), {cache['disk_stores']} "
+              f"store(s), {cache['disk_quarantined']} quarantined")
+    if response.verify is not None:
+        report = response.verify
+        verdict = "ok" if report["ok"] else (
+            f"FAILED ({report['diagnostics']} diagnostics)"
         )
+        print(f"oracle verification: {verdict} "
+              f"({report['blocks']} blocks replayed)")
+    resilience = response.resilience
+    if resilience and (resilience["retries"] or response.errors):
+        print(f"resilience:          {resilience['retries']} retry(ies), "
+              f"{resilience['quarantined']} quarantined")
+        for failure in response.errors:
+            print(f"  quarantined block {failure.block_index}: "
+                  f"{failure.error_type}: {failure.message}")
+    if per_block is not None:
+        print()
+        print("block   ops  exact  heur  gap  lower  reason       nodes")
+        for index, entry in enumerate(per_block):
+            print(
+                f"{index:5d} {entry['ops']:5d} {entry['length']:6d} "
+                f"{entry['heuristic_length']:5d} {entry['gap']:4d} "
+                f"{entry['lower_bound']:6d}  {entry['reason']:11s} "
+                f"{entry['nodes']:6d}"
+            )
     return 0
+
+
+def _run(args: argparse.Namespace, body, show=_show_response) -> int:
+    """The frame every scheduling command runs in.
+
+    ``body()`` resolves the workload and schedules it through
+    :mod:`repro.api` inside the ``cli:<command>`` span; ``show(args,
+    outcome)`` prints what it returned and gives the exit code.
+    Recording is forced on for ``--json`` / ``--trace-out``, whose
+    output embeds it.  A bad description, request or value, or an
+    unreadable file, exits 2; a service failure exits 3, with one line
+    per failed block.
+    """
+    from repro import obs
+    from repro.errors import MdesError, RequestError, ServiceError
+    from repro.service import ScheduleResponse
+
+    trace_out = getattr(args, "trace_out", None)
+    if args.json or trace_out:
+        obs.enable()
+        obs.reset()
+    try:
+        with obs.span(f"cli:{args.command}") as span:
+            outcome = body()
+    except ServiceError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        for failure in exc.failures:
+            print(
+                f"  block {failure.block_index} (chunk "
+                f"{failure.chunk_index}, {failure.attempts} "
+                f"attempt(s)): {failure.error_type}: {failure.message}",
+                file=sys.stderr,
+            )
+        return 3
+    except (MdesError, RequestError, ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    if obs.enabled() and isinstance(outcome, ScheduleResponse):
+        # The JSON and the trace agree on the command's wall clock.
+        outcome.wall_seconds = span.seconds
+    if trace_out:
+        with open(trace_out, "w") as handle:
+            handle.write(obs.trace_to_jsonl(obs.TRACER))
+    return show(args, outcome)
+
+
+def _schedule_request(args: argparse.Namespace):
+    """The ``ScheduleRequest`` of ``schedule`` and ``exact``."""
+    from repro import api
+
+    machine, blocks = _workload(args)
+    return api.ScheduleRequest(
+        machine=machine, blocks=blocks,
+        backend=args.backend, stage=args.stage,
+    )
+
+
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    from repro import api
+    from repro.engine.cache import DescriptionCache
+
+    # A private cold cache: the --json transform digest always shows the
+    # whole compile, whatever this process compiled before.
+    return _run(args, lambda: api.schedule(
+        _schedule_request(args), cache=DescriptionCache(name="cli"),
+    ))
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    from repro.exact import ExactBudget
-    from repro.workloads import WorkloadConfig, generate_blocks
+    from repro import api
 
-    machine = get_machine(args.machine)
-    blocks = generate_blocks(
-        machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
-    )
-    default = ExactBudget()
-    budget = ExactBudget(
-        max_nodes=(
-            args.node_budget if args.node_budget is not None
-            else default.max_nodes
+    return _run(args, lambda: api.schedule_exact(
+        _schedule_request(args),
+        budget=api.ExactBudget(
+            max_nodes=args.node_budget, max_seconds=args.time_budget,
         ),
-        max_seconds=args.time_budget,
-    )
-    return _run_exact_cmd(
-        machine, blocks, args.backend, args.stage, budget,
-        args.max_block_ops, args.json,
-    )
-
-
-def _batch_workload(args: argparse.Namespace):
-    """Resolve (machine, blocks) for ``schedule-batch``; None on error."""
-    from repro.workloads import WorkloadConfig, generate_blocks
-    from repro.workloads.trace import read_trace
-
-    if args.trace:
-        with open(args.trace) as handle:
-            machine_name, blocks = read_trace(handle.read())
-        return get_machine(args.machine or machine_name), blocks
-    if not args.machine:
-        print("schedule-batch needs --machine or --trace", file=sys.stderr)
-        return None
-    machine = get_machine(args.machine)
-    blocks = generate_blocks(
-        machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
-    )
-    return machine, blocks
+        max_block_ops=args.max_block_ops,
+    ))
 
 
 def _cmd_schedule_batch(args: argparse.Namespace) -> int:
-    import json
-    import time
+    from repro import api
 
-    from repro import api, obs
-    from repro.errors import MdesError, RequestError, ServiceError
-    from repro.service import BatchConfig, RetryPolicy
-
-    if args.backend and args.lmdes:
-        print(
-            "schedule-batch --backend and --lmdes are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-    if args.json or args.trace_out:
-        obs.enable()
-        obs.reset()
-    resolved = _batch_workload(args)
-    if resolved is None:
-        return 2
-    machine, blocks = resolved
-    config = BatchConfig(
-        backend=args.backend,
-        lmdes_path=args.lmdes,
-        stage=args.stage,
-        chunk_size=args.chunk_size,
-        cache_dir=args.cache_dir,
-        retry=RetryPolicy(retries=args.retries),
-        on_error=args.on_error,
-        verify=args.verify,
-    )
-    # The wall clock is an obs span, not an ad-hoc perf_counter: the
-    # same timing lands in the trace tree and the JSON obs digest.
-    started = time.perf_counter()
-    with obs.span("cli:schedule-batch", machine=machine.name) as sp:
-        try:
-            result = api.schedule_batch(api.BatchRequest(
-                machine=machine, blocks=tuple(blocks), config=config,
-            )).result
-        except ServiceError as exc:
-            print(f"schedule-batch: {exc}", file=sys.stderr)
-            for failure in exc.failures:
-                print(
-                    f"  block {failure.block_index} (chunk "
-                    f"{failure.chunk_index}, {failure.attempts} "
-                    f"attempt(s)): {failure.error_type}: "
-                    f"{failure.message}",
-                    file=sys.stderr,
-                )
-            return 3
-        except (MdesError, RequestError, ValueError, OSError) as exc:
-            print(f"schedule-batch: {exc}", file=sys.stderr)
-            return 2
-    elapsed = sp.seconds if obs.enabled() else time.perf_counter() - started
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            handle.write(obs.trace_to_jsonl(obs.TRACER))
-    stats, cache = result.stats, result.cache_stats
-    if args.json:
-        print(json.dumps(
-            {
-                "machine": result.machine_name,
-                "backend": result.backend,
-                "chunks": result.chunk_count,
-                "blocks": len(result.schedules),
-                "ops": result.total_ops,
-                "cycles": result.total_cycles,
-                "attempts": stats.attempts,
-                "attempts_per_op": result.attempts_per_op,
-                "options_per_attempt": stats.options_per_attempt,
-                "checks_per_attempt": stats.checks_per_attempt,
-                "wall_seconds": elapsed,
-                "cache": result.cache_summary(),
-                "resilience": {
-                    **result.resilience_summary(),
-                    "errors": [f.to_dict() for f in result.errors],
-                },
-                "verify": (
-                    result.verify_report.summary()
-                    if result.verify_report is not None else None
-                ),
-                "obs": obs.summary(),
-            },
-            indent=2,
+    def body():
+        machine, blocks = _workload(args)
+        return api.schedule_batch(api.BatchRequest(
+            machine=machine, blocks=blocks,
+            config=api.BatchConfig(
+                backend=args.backend,
+                lmdes_path=args.lmdes,
+                stage=args.stage,
+                chunk_size=args.chunk_size,
+                cache_dir=args.cache_dir,
+                retry=api.RetryPolicy(retries=args.retries),
+                on_error=args.on_error,
+                verify=args.verify,
+            ),
         ))
-        return 0
-    print(f"machine:             {result.machine_name} "
-          f"(backend {result.backend}, {result.chunk_count} chunks)")
-    print(f"operations:          {result.total_ops}")
-    print(f"schedule cycles:     {result.total_cycles}")
-    print(f"attempts/op:         {result.attempts_per_op:.2f}")
-    print(f"options/attempt:     {stats.options_per_attempt:.2f}")
-    print(f"checks/attempt:      {stats.checks_per_attempt:.2f}")
-    print(f"wall seconds:        {elapsed:.3f}")
-    if args.cache_dir:
-        print(f"description cache:   {cache.disk_hits} disk hit(s), "
-              f"{cache.disk_misses} miss(es), {cache.disk_stores} "
-              f"store(s), {cache.disk_quarantined} quarantined")
-    if result.verify_report is not None:
-        report = result.verify_report
-        verdict = "ok" if report.ok else (
-            f"FAILED ({len(report.diagnostics)} diagnostics)"
-        )
-        print(f"oracle verification: {verdict} "
-              f"({report.blocks_checked} blocks replayed)")
-    if result.retries or result.errors:
-        print(f"resilience:          {result.retries} retry(ies), "
-              f"{result.quarantined} quarantined")
-        for failure in result.errors:
-            print(f"  quarantined block {failure.block_index}: "
-                  f"{failure.error_type}: {failure.message}")
-    return 0
+
+    return _run(args, body)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -692,98 +558,87 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.engine import engine_names
-    from repro.scheduler import schedule_workload
-    from repro.verify import (
-        check_corpus,
-        check_synth_fleet,
-        verify_schedule,
-        write_corpus,
-        write_synth_fleet,
-    )
-    from repro.workloads import WorkloadConfig, generate_blocks
-
     if args.golden:
-        if args.regen:
-            written = write_corpus(args.golden)
-            written.append(write_synth_fleet(args.golden))
-            for path in written:
-                print(f"wrote {path}")
-            return 0
-        mismatches = check_corpus(args.golden)
-        mismatches.extend(check_synth_fleet(args.golden))
-        if mismatches:
-            for mismatch in mismatches:
-                print(f"golden mismatch: {mismatch}", file=sys.stderr)
-            print(
-                f"{len(mismatches)} golden-corpus mismatch(es); "
-                f"regenerate with: repro verify --golden {args.golden} "
-                "--regen",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"golden corpus {args.golden}: ok")
-        return 0
+        return _verify_golden(args)
+    from repro import api
 
-    machines = [args.machine] if args.machine else list(MACHINE_NAMES)
+    names = [args.machine] if args.machine else list(MACHINE_NAMES)
     backends = (
         [args.backend] if args.backend
-        else list(engine_names(scheduler="list"))
+        else api.engine_names(scheduler="list")
     )
-    results = []
-    failed = False
-    for machine_name in machines:
-        machine = get_machine(machine_name)
-        blocks = generate_blocks(machine, WorkloadConfig(
-            total_ops=args.ops, seed=args.seed,
-        ))
-        for backend in backends:
-            from repro.engine import create_engine, get_engine_spec
 
-            if get_engine_spec(backend).scheduler == "exact":
-                from repro import api
-
-                if args.direction != "forward":
-                    print(
-                        "verify --backend exact schedules forward only",
-                        file=sys.stderr,
-                    )
-                    return 2
-                run = api.schedule_exact(api.ScheduleRequest(
-                    machine=machine, blocks=tuple(blocks),
-                    backend=backend, stage=args.stage,
-                )).result
-            else:
-                engine = create_engine(backend, machine, stage=args.stage)
-                run = schedule_workload(
-                    machine, None, blocks, keep_schedules=True,
-                    direction=args.direction, engine=engine,
+    def body():
+        verdicts = []
+        for name in names:
+            machine, blocks = _workload(args, name)
+            for backend in backends:
+                response = api.schedule(api.ScheduleRequest(
+                    machine=machine, blocks=blocks, backend=backend,
+                    stage=args.stage, direction=args.direction,
+                ))
+                report = api.verify_schedule(
+                    machine, response.schedules, direction=args.direction
                 )
-            report = verify_schedule(
-                machine, run, direction=args.direction
-            )
-            summary = report.summary()
-            summary["backend"] = backend
-            results.append(summary)
-            if not report.ok:
-                failed = True
-                if not args.json:
-                    for diagnostic in report.diagnostics:
-                        print(f"  {diagnostic}", file=sys.stderr)
-            if not args.json:
+                verdicts.append((backend, report))
+                if args.json:
+                    continue
+                for diagnostic in report.diagnostics:
+                    print(f"  {diagnostic}", file=sys.stderr)
                 verdict = "ok" if report.ok else (
                     f"FAILED ({len(report.diagnostics)} diagnostics)"
                 )
                 print(
-                    f"{machine_name:11s} {backend:13s} "
+                    f"{machine.name:11s} {backend:13s} "
                     f"{report.blocks_checked:4d} blocks "
                     f"{report.ops_checked:6d} ops  {verdict}"
                 )
+        return verdicts
+
+    return _run(args, body, _show_verdicts)
+
+
+def _show_verdicts(args: argparse.Namespace, verdicts) -> int:
+    """``verify``'s exit code, and its verdict list for ``--json``."""
+    import json
+
     if args.json:
-        print(json.dumps(results, indent=2))
-    return 1 if failed else 0
+        print(json.dumps(
+            [dict(report.summary(), backend=backend)
+             for backend, report in verdicts],
+            indent=2,
+        ))
+    return 0 if all(report.ok for _, report in verdicts) else 1
+
+
+def _verify_golden(args: argparse.Namespace) -> int:
+    from repro.verify import (
+        check_corpus,
+        check_synth_fleet,
+        write_corpus,
+        write_synth_fleet,
+    )
+
+    if args.regen:
+        written = write_corpus(args.golden)
+        written.append(write_synth_fleet(args.golden))
+        for path in written:
+            print(f"wrote {path}")
+        return 0
+    mismatches = check_corpus(args.golden)
+    mismatches.extend(check_synth_fleet(args.golden))
+    if mismatches:
+        for mismatch in mismatches:
+            print(f"golden mismatch: {mismatch}", file=sys.stderr)
+        print(
+            f"{len(mismatches)} golden-corpus mismatch(es); "
+            f"regenerate with: repro verify --golden {args.golden} "
+            "--regen",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"golden corpus {args.golden}: ok")
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -892,16 +747,12 @@ def _obs_demo_run(args: argparse.Namespace):
     from repro.engine import create_engine
     from repro.engine.cache import DescriptionCache
     from repro.scheduler import schedule_workload
-    from repro.workloads import WorkloadConfig, generate_blocks
 
     obs.enable()
     if getattr(args, "memory", False):
         obs.enable_memory()
     obs.reset()
-    machine = get_machine(args.machine)
-    blocks = generate_blocks(
-        machine, WorkloadConfig(total_ops=args.ops, seed=args.seed)
-    )
+    machine, blocks = _workload(args)
     # A private cold cache: the demo always shows the whole pipeline
     # (hmdes -> transforms -> compile), not a warm-process shortcut.
     engine = create_engine(
@@ -968,6 +819,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
+    from repro.engine import engine_names
+    from repro.exact import ExactBudget
+    from repro.machines.synth import family_names
+    from repro.server import QueuePolicy, ServerConfig
+    from repro.service import DEFAULT_BACKEND, BatchConfig, RetryPolicy
+    from repro.sweep import SweepConfig
+    from repro.transforms.pipeline import FINAL_STAGE
+    from repro.workloads import WorkloadConfig
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -976,6 +836,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
+
+    def workload_args(sub, ops: int, required: bool = False,
+                      machine_help: Optional[str] = None,
+                      ops_help: Optional[str] = None) -> None:
+        """``--machine --ops --seed --stage`` of the scheduling commands."""
+        sub.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
+                         required=required, default=None, help=machine_help)
+        sub.add_argument("--ops", type=int, default=ops, help=ops_help)
+        sub.add_argument("--seed", type=int, default=WorkloadConfig.seed)
+        sub.add_argument("--stage", type=int, default=FINAL_STAGE,
+                         help="transformation stage 0-4")
 
     commands.add_parser("machines", help="list built-in machines")
 
@@ -1014,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument("file", nargs="?", default=None)
     compile_cmd.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
                              default=None)
-    compile_cmd.add_argument("--stage", type=int, default=4)
+    compile_cmd.add_argument("--stage", type=int, default=FINAL_STAGE)
     compile_cmd.add_argument("--no-bitvector", action="store_true")
     compile_cmd.add_argument("-o", "--output", required=True)
 
@@ -1030,44 +901,28 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
                           required=True)
     generate.add_argument("--ops", type=int, default=5000)
-    generate.add_argument("--seed", type=int, default=20161202)
+    generate.add_argument("--seed", type=int, default=WorkloadConfig.seed)
     generate.add_argument("-o", "--output", required=True)
+
+    json_help = (
+        "print the ScheduleResponse envelope with per-phase timings and "
+        "per-transform effects (forces obs on)"
+    )
+    trace_out_help = "write the run's span tree as JSONL (forces obs on)"
 
     schedule = commands.add_parser(
         "schedule", help="schedule a workload and report statistics"
     )
-    schedule.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
-                          default=None)
+    workload_args(schedule, ops=10000)
     schedule.add_argument("--trace", default=None)
-    schedule.add_argument("--lmdes", default=None,
-                          help="schedule against a compiled LMDES file")
-    schedule.add_argument("--ops", type=int, default=10000)
-    schedule.add_argument("--seed", type=int, default=20161202)
-    schedule.add_argument("--rep", choices=("or", "andor"),
-                          default="andor")
-    schedule.add_argument("--stage", type=int, default=4,
-                          help="transformation stage 0-4")
-    schedule.add_argument("--no-bitvector", action="store_true")
-    from repro.engine import engine_names
-
     schedule.add_argument(
-        "--backend", choices=engine_names(), default=None,
-        help=(
-            "constraint-check backend from the engine registry "
-            "(overrides --rep/--no-bitvector)"
-        ),
+        "--backend", choices=engine_names(), default=DEFAULT_BACKEND,
+        help="constraint-check backend from the engine registry "
+             "(default: %(default)s)",
     )
-    schedule.add_argument(
-        "--json", action="store_true",
-        help=(
-            "emit a machine-readable result document with per-phase "
-            "timings and per-transform effects (forces obs on)"
-        ),
-    )
-    schedule.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write the run's span tree as JSONL (forces obs on)",
-    )
+    schedule.add_argument("--json", action="store_true", help=json_help)
+    schedule.add_argument("--trace-out", default=None, metavar="FILE",
+                          help=trace_out_help)
 
     exact = commands.add_parser(
         "exact",
@@ -1076,25 +931,22 @@ def build_parser() -> argparse.ArgumentParser:
             "scheduler and report the optimality gap"
         ),
     )
-    exact.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
-                       required=True)
-    exact.add_argument("--ops", type=int, default=200,
-                       help="workload size (exact search is exponential; "
-                            "keep this small)")
-    exact.add_argument("--seed", type=int, default=20161202)
-    exact.add_argument("--stage", type=int, default=4,
-                       help="transformation stage 0-4")
+    workload_args(exact, ops=200, required=True,
+                  ops_help="workload size (exact search is exponential; "
+                           "keep this small)")
     exact.add_argument(
         "--backend", choices=engine_names(scheduler="exact"),
         default="exact",
         help="exact-scheduler backend from the engine registry",
     )
     exact.add_argument(
-        "--node-budget", type=int, default=None, metavar="N",
-        help="search-node budget per block (default: the registry's)",
+        "--node-budget", type=int, default=ExactBudget.max_nodes,
+        metavar="N", help="search-node budget per block "
+                          "(default: %(default)s)",
     )
     exact.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
+        "--time-budget", type=float, default=ExactBudget.max_seconds,
+        metavar="SECONDS",
         help="wall-clock budget per block (default: unbounded)",
     )
     exact.add_argument(
@@ -1104,9 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
             "heuristic schedule (default: the registry's cap)"
         ),
     )
-    exact.add_argument("--json", action="store_true",
-                       help="emit a machine-readable result document "
-                            "(forces obs on)")
+    exact.add_argument("--json", action="store_true", help=json_help)
 
     batch = commands.add_parser(
         "schedule-batch",
@@ -1115,34 +965,31 @@ def build_parser() -> argparse.ArgumentParser:
             "description cache"
         ),
     )
-    batch.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
-                       default=None)
+    workload_args(batch, ops=10000)
     batch.add_argument("--trace", default=None)
     batch.add_argument("--lmdes", default=None,
                        help="schedule against a compiled LMDES file")
-    batch.add_argument("--ops", type=int, default=10000)
-    batch.add_argument("--seed", type=int, default=20161202)
-    batch.add_argument("--stage", type=int, default=4,
-                       help="transformation stage 0-4")
     batch.add_argument(
         "--backend", choices=engine_names(), default=None,
-        help="constraint-check backend (default: bitvector)",
+        help=f"constraint-check backend (default: {DEFAULT_BACKEND})",
     )
-    batch.add_argument("--chunk-size", type=int, default=32,
+    batch.add_argument("--chunk-size", type=int,
+                       default=BatchConfig.chunk_size,
                        help="blocks per chunk, the unit of retry")
     batch.add_argument(
         "--cache-dir", default=None,
         help=(
-            "persistent description-cache directory (warm runs "
-            "load_lmdes instead of recompiling)"
+            "persistent description-cache directory (warm runs load "
+            "the compiled LMDES file instead of recompiling)"
         ),
     )
     batch.add_argument(
-        "--retries", type=int, default=0,
+        "--retries", type=int, default=RetryPolicy.retries,
         help="extra attempts per chunk on retryable failures",
     )
     batch.add_argument(
-        "--on-error", choices=("raise", "report"), default="raise",
+        "--on-error", choices=("raise", "report"),
+        default=BatchConfig.on_error,
         help=(
             "what to do with blocks that fail deterministically: "
             "raise a ServiceError, or report them as typed records in "
@@ -1156,8 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
             "oracle after the run"
         ),
     )
-    batch.add_argument("--json", action="store_true",
-                       help="emit a machine-readable result document")
+    batch.add_argument("--json", action="store_true", help=json_help)
     batch.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help=(
@@ -1165,8 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
             "spans (forces obs on)"
         ),
     )
-
-    from repro.machines.synth import family_names
 
     sweep = commands.add_parser(
         "sweep",
@@ -1177,29 +1021,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--family", choices=family_names(), default="superscalar-wide",
+        "--family", choices=family_names(), default=SweepConfig.family,
         help="synth family preset the fleet is drawn from",
     )
-    sweep.add_argument("--count", type=int, default=100,
+    sweep.add_argument("--count", type=int, default=SweepConfig.count,
                        help="fleet size (variant indices 0..count-1)")
-    sweep.add_argument("--seed", type=int, default=0,
+    sweep.add_argument("--seed", type=int, default=SweepConfig.seed,
                        help="fleet seed")
-    sweep.add_argument("--ops", type=int, default=64,
+    sweep.add_argument("--ops", type=int, default=SweepConfig.ops,
                        help="workload ops scheduled on every variant")
-    sweep.add_argument("--workload-seed", type=int, default=20161202)
+    sweep.add_argument("--workload-seed", type=int,
+                       default=SweepConfig.workload_seed)
     sweep.add_argument(
         "--backend", choices=engine_names(scheduler="list"),
-        default="bitvector",
-        help="constraint-check backend (default: bitvector)",
+        default=SweepConfig.backend,
+        help="constraint-check backend (default: %(default)s)",
     )
-    sweep.add_argument("--stage", type=int, default=4,
+    sweep.add_argument("--stage", type=int, default=SweepConfig.stage,
                        help="transformation stage 0-4")
     sweep.add_argument(
         "--no-verify", action="store_true",
         help="skip the per-variant oracle replay",
     )
     sweep.add_argument(
-        "--exact-sample", type=int, default=0, metavar="N",
+        "--exact-sample", type=int, default=SweepConfig.exact_sample,
+        metavar="N",
         help=(
             "run the exact scheduler on every Nth variant and record "
             "the optimality gap (0 = off)"
@@ -1223,30 +1069,32 @@ def build_parser() -> argparse.ArgumentParser:
             "get schedules out of one warm description cache"
         ),
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8181)
+    serve.add_argument("--host", default=ServerConfig.host)
+    serve.add_argument("--port", type=int, default=ServerConfig.port)
     serve.add_argument(
         "--cache-dir", default=None,
         help="persistent description-cache directory shared by all "
              "requests",
     )
-    serve.add_argument("--chunk-size", type=int, default=32,
+    serve.add_argument("--chunk-size", type=int,
+                       default=ServerConfig.chunk_size,
                        help="blocks per batch chunk")
     serve.add_argument(
-        "--max-inflight", type=int, default=64,
+        "--max-inflight", type=int, default=QueuePolicy.max_inflight,
         help="admitted requests across all clients before 429",
     )
     serve.add_argument(
-        "--per-client", type=int, default=8,
+        "--per-client", type=int, default=QueuePolicy.per_client_inflight,
         help="admitted requests per client id before 429",
     )
     serve.add_argument(
-        "--window-ms", type=float, default=4.0,
+        "--window-ms", type=float,
+        default=ServerConfig.window_seconds * 1000.0,
         help="micro-batch window: requests arriving within it share "
              "one batch run",
     )
     serve.add_argument(
-        "--submit-threads", type=int, default=4,
+        "--submit-threads", type=int, default=ServerConfig.submit_threads,
         help="executor threads driving batch runs",
     )
     serve.add_argument(
@@ -1255,16 +1103,18 @@ def build_parser() -> argparse.ArgumentParser:
              "'all' prewarm every built-in machine)",
     )
     serve.add_argument(
-        "--prewarm-backend", default="bitvector",
+        "--prewarm-backend", default=DEFAULT_BACKEND,
         choices=engine_names(),
-        help="backend to prewarm (default: bitvector)",
+        help="backend to prewarm (default: %(default)s)",
     )
     serve.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=float,
+        default=ServerConfig.default_deadline_seconds, metavar="SECONDS",
         help="default per-request deadline when the client sets none",
     )
     serve.add_argument(
-        "--drain", type=float, default=10.0, metavar="SECONDS",
+        "--drain", type=float, default=ServerConfig.drain_seconds,
+        metavar="SECONDS",
         help="graceful-shutdown budget for in-flight requests",
     )
 
@@ -1275,15 +1125,10 @@ def build_parser() -> argparse.ArgumentParser:
             "the golden conformance corpus"
         ),
     )
-    verify.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
-                        default=None,
-                        help="one machine (default: the paper's four)")
+    workload_args(verify, ops=2000,
+                  machine_help="one machine (default: the paper's four)")
     verify.add_argument("--backend", choices=engine_names(), default=None,
-                        help="one backend (default: every registered one)")
-    verify.add_argument("--ops", type=int, default=2000)
-    verify.add_argument("--seed", type=int, default=20161202)
-    verify.add_argument("--stage", type=int, default=4,
-                        help="transformation stage 0-4")
+                        help="one backend (default: every list backend)")
     verify.add_argument("--direction", choices=("forward", "backward"),
                         default="forward")
     verify.add_argument(
@@ -1321,15 +1166,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--json", action="store_true",
                           help="emit a machine-readable report")
 
-    def _obs_demo_args(sub, machine_required: bool = True) -> None:
-        sub.add_argument("--machine", type=_machine_arg, metavar="MACHINE",
-                         required=machine_required, default=None)
+    def obs_demo_args(sub, required: bool = True) -> None:
+        workload_args(sub, ops=2000, required=required)
         sub.add_argument("--backend", choices=engine_names(),
-                         default="bitvector")
-        sub.add_argument("--ops", type=int, default=2000)
-        sub.add_argument("--seed", type=int, default=20161202)
-        sub.add_argument("--stage", type=int, default=4,
-                         help="transformation stage 0-4")
+                         default=DEFAULT_BACKEND)
         sub.add_argument(
             "--memory", action="store_true",
             help=(
@@ -1344,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run one observed workload and print the metrics registry"
         ),
     )
-    _obs_demo_args(stats)
+    obs_demo_args(stats)
     stats.add_argument("--prom", action="store_true",
                        help="Prometheus text exposition instead of the "
                             "human view")
@@ -1356,7 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
             "print its span tree, hot spans, or flamegraph"
         ),
     )
-    _obs_demo_args(trace, machine_required=False)
+    obs_demo_args(trace, required=False)
     trace.add_argument(
         "--input", default=None, metavar="FILE",
         help="analyze a saved JSONL trace instead of running a workload",

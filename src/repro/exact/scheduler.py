@@ -164,11 +164,6 @@ class ExactRunResult:
         return sum(1 for result in self.results if result.optimal)
 
     @property
-    def all_optimal(self) -> bool:
-        """Whether every block was solved to proven optimality."""
-        return all(result.optimal for result in self.results)
-
-    @property
     def nodes(self) -> int:
         return sum(result.nodes for result in self.results)
 

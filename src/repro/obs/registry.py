@@ -208,16 +208,9 @@ class MetricsRegistry:
         with self._lock:
             self._views[name] = callback
 
-    def unregister_view(self, name: str) -> None:
-        with self._lock:
-            self._views.pop(name, None)
-
     # ------------------------------------------------------------------
     # Collection
     # ------------------------------------------------------------------
-
-    def help_for(self, name: str) -> str:
-        return self._help.get(name, "")
 
     def histograms(self) -> List[Histogram]:
         """Every histogram instrument, in (name, labels) order."""

@@ -188,8 +188,17 @@ class _NullCapture:
 NULL_CAPTURE = _NullCapture()
 
 
+#: Finished roots a tracer keeps; the oldest go first.  A long-running
+#: process (``repro serve`` grafts one tree per request) would otherwise
+#: hold every trace it ever recorded.
+MAX_ROOTS = 1000
+
+
 class Tracer:
-    """Per-thread span stacks plus the shared list of finished roots."""
+    """Per-thread span stacks plus the shared list of finished roots.
+
+    ``roots`` keeps the newest :data:`MAX_ROOTS` trees.
+    """
 
     def __init__(self) -> None:
         self._local = threading.local()
@@ -226,8 +235,7 @@ class Tracer:
         if stack:
             stack[-1].children.append(span)
         else:
-            with self._lock:
-                self.roots.append(span)
+            self._add_roots([span])
 
     # ------------------------------------------------------------------
     # Memory frames (tracemalloc peak/net accounting per span)
@@ -304,8 +312,12 @@ class Tracer:
         if current is not None:
             current.children.extend(spans)
         else:
-            with self._lock:
-                self.roots.extend(spans)
+            self._add_roots(spans)
+
+    def _add_roots(self, spans: List[Span]) -> None:
+        with self._lock:
+            self.roots.extend(spans)
+            del self.roots[:-MAX_ROOTS]
 
     def reset(self) -> None:
         """Drop finished roots and this thread's stacks."""

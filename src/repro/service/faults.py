@@ -14,7 +14,7 @@ Faults are off unless a plan is installed programmatically
 environment variable (mirroring ``REPRO_OBS``).  The spec grammar is a
 ``;``-separated rule list::
 
-    REPRO_FAULTS="seed=42;sched@0#0,1;corrupt@2"
+    REPRO_FAULTS="seed=42;sched@0#0,1;corrupt@0"
 
     rule    := kind '@' chunk ['#' attempts]
     kind    := 'sched' | 'corrupt'
@@ -23,7 +23,10 @@ environment variable (mirroring ``REPRO_OBS``).  The spec grammar is a
 * ``sched``  -- raise a transient :class:`~repro.errors.SchedulingError`.
 * ``corrupt``-- scribble over every published LMDES artifact in the
   run's cache directory, so the next description load exercises the
-  disk tier's quarantine-and-rebuild path for real.
+  disk tier's quarantine-and-rebuild path for real.  Only a load that
+  misses the in-memory LRU reads the file: ``corrupt@0`` over a
+  warm cache directory does, while a later chunk finds the
+  description in memory and leaves the scribbled file unread.
 
 ``attempts`` defaults to ``(0,)``: a fault fires on its chunk's first
 attempt and not on retries, which is what *transient* means here.

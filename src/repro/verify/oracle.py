@@ -56,9 +56,10 @@ UNPLACED_OPERATION = "UNPLACED_OPERATION"
 #: The option-assignment search gave up before proving either verdict.
 SEARCH_BUDGET_EXCEEDED = "SEARCH_BUDGET_EXCEEDED"
 
-#: Cap on backtracking nodes per block.  Real schedules resolve in one
-#: forward pass (the scheduler already found an assignment); the budget
-#: only guards against adversarial hand-built inputs.
+#: Cap on backtracking nodes per block.  Valid schedules resolve in one
+#: forward pass (the scheduler already found an assignment); a broken
+#: one can exhaust the budget, and the block is then reported as
+#: ``SEARCH_BUDGET_EXCEEDED`` rather than passed.
 SEARCH_BUDGET = 200_000
 
 

@@ -15,6 +15,17 @@ def run_cli(capsys):
     return run
 
 
+@pytest.fixture
+def restore_obs():
+    """``--json`` forces obs on; put the session's state back."""
+    from repro import obs
+
+    was_enabled = obs.enabled()
+    yield
+    obs.enable() if was_enabled else obs.disable()
+    obs.reset()
+
+
 SMALL_HMDES = """
 mdes Tiny;
 section resource { A; B; }
@@ -123,10 +134,10 @@ class TestGenerateSchedule:
     def test_schedule_synthetic(self, run_cli):
         code, out, _ = run_cli(
             "schedule", "--machine", "K5", "--ops", "400",
-            "--rep", "or", "--stage", "0", "--no-bitvector",
+            "--backend", "ortree", "--stage", "0",
         )
         assert code == 0
-        assert "K5 (or, stage 0)" in out
+        assert "K5 (backend ortree, stage 0)" in out
 
     def test_schedule_without_target(self, run_cli):
         code, _, err = run_cli("schedule", "--ops", "100")
@@ -153,13 +164,95 @@ class TestGenerateSchedule:
         assert code == 2
         assert "stage >= 3" in err
 
-    def test_backend_excludes_lmdes(self, run_cli, tmp_path):
-        code, _, err = run_cli(
-            "schedule", "--machine", "K5", "--ops", "100",
-            "--backend", "ortree", "--lmdes", str(tmp_path / "x.json"),
+    @pytest.mark.parametrize("flag", [
+        ["--rep", "or"], ["--no-bitvector"], ["--lmdes", "x.json"],
+    ])
+    def test_pre_registry_flags_are_gone(self, run_cli, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("schedule", "--machine", "K5", "--ops", "100", *flag)
+        assert excinfo.value.code == 2
+
+    def test_exact_backend_through_schedule(self, run_cli):
+        code, out, err = run_cli(
+            "schedule", "--machine", "Pentium", "--ops", "60",
+            "--backend", "exact",
+        )
+        assert code == 0, err
+        assert "backend exact" in out
+        assert "proven optimal" in out
+
+
+@pytest.mark.usefixtures("restore_obs")
+class TestExact:
+    def test_json_carries_counters_and_per_block_rows(self, run_cli):
+        import json
+
+        code, out, err = run_cli(
+            "exact", "--machine", "Pentium", "--ops", "60", "--json"
+        )
+        assert code == 0, err
+        document = json.loads(out)
+        assert document["kind"] == "exact"
+        assert set(document["exact"]) == {
+            "heuristic_cycles", "gap_cycles", "optimal_blocks",
+            "nodes", "repairs", "pruned",
+        }
+        exact = document["exact"]
+        assert exact["heuristic_cycles"] - document["cycles"] == (
+            exact["gap_cycles"]
+        )
+        rows = document["per_block"]
+        assert len(rows) == document["blocks"] > 0
+        assert sum(row["length"] for row in rows) == document["cycles"]
+        assert sum(row["optimal"] for row in rows) == (
+            exact["optimal_blocks"]
+        )
+        assert "cli:exact" in document["obs"]["phases"]
+
+    def test_human_output_prints_the_gap_table(self, run_cli):
+        code, out, _ = run_cli("exact", "--machine", "Pentium", "--ops", "60")
+        assert code == 0
+        assert "gap (cycles saved):" in out
+        assert "block   ops  exact  heur  gap  lower  reason" in out
+
+
+@pytest.mark.usefixtures("restore_obs")
+class TestVerifyMatrix:
+    def test_one_machine_one_backend_json(self, run_cli):
+        import json
+
+        code, out, err = run_cli(
+            "verify", "--machine", "PA7100", "--backend", "bitvector",
+            "--ops", "200", "--json",
+        )
+        assert code == 0, err
+        (verdict,) = json.loads(out)
+        assert verdict["ok"] is True
+        assert verdict["machine"] == "PA7100"
+        assert verdict["backend"] == "bitvector"
+        assert verdict["blocks"] > 0
+        assert verdict["diagnostics"] == 0
+
+    def test_human_rows_for_each_list_backend(self, run_cli):
+        code, out, _ = run_cli(
+            "verify", "--machine", "PA7100", "--ops", "100",
+            "--direction", "backward",
+        )
+        assert code == 0
+        rows = out.splitlines()
+        assert [row.split()[1] for row in rows] == [
+            "ortree", "andor", "bitvector", "automata", "eichenberger",
+        ]
+        assert all(row.endswith("ok") for row in rows)
+
+    def test_exact_backend_backward_is_a_request_error(self, run_cli):
+        code, out, err = run_cli(
+            "verify", "--machine", "PA7100", "--backend", "exact",
+            "--ops", "60", "--direction", "backward",
         )
         assert code == 2
-        assert "mutually exclusive" in err
+        assert "forward only" in err
+        assert out == ""
 
 
 class TestEngines:
@@ -278,8 +371,10 @@ class TestScheduleBatchResilience:
         report = self._json_run(
             run_cli, "--machine", "K5", "--ops", "100", "--retries", "2",
         )
-        resilience = report["resilience"]
-        assert resilience == {"retries": 0, "quarantined": 0, "errors": []}
+        assert report["resilience"] == {"retries": 0, "quarantined": 0}
+        assert report["errors"] == []
+        assert report["kind"] == "batch"
+        assert report["ok"] is True
 
     def test_injected_transient_fault_is_retried(self, run_cli,
                                                  monkeypatch):
@@ -288,7 +383,7 @@ class TestScheduleBatchResilience:
             run_cli, "--machine", "K5", "--ops", "100", "--retries", "1",
         )
         assert report["resilience"]["retries"] == 1
-        assert report["resilience"]["errors"] == []
+        assert report["errors"] == []
         monkeypatch.delenv("REPRO_FAULTS")
         clean = self._json_run(
             run_cli, "--machine", "K5", "--ops", "100", "--retries", "1",
@@ -335,31 +430,33 @@ class TestCompileLmdes:
         assert code == 0
 
     def test_schedule_against_lmdes(self, run_cli, tmp_path):
+        import json
+
         output = tmp_path / "k5.lmdes.json"
         run_cli("compile", "--machine", "K5", "-o", str(output))
         code, out, _ = run_cli(
-            "schedule", "--machine", "K5", "--lmdes", str(output),
-            "--ops", "300",
+            "schedule-batch", "--machine", "K5", "--lmdes", str(output),
+            "--ops", "300", "--json",
         )
         assert code == 0
-        assert "checks/attempt" in out
+        shipped = json.loads(out)
+        code, out, _ = run_cli(
+            "schedule", "--machine", "K5", "--backend", "bitvector",
+            "--ops", "300", "--json",
+        )
+        assert code == 0
+        compiled = json.loads(out)
+        for key in ("cycles", "attempts", "ops"):
+            assert shipped[key] == compiled[key], key
 
     def test_compile_needs_target(self, run_cli, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("compile", "-o", str(tmp_path / "x.json"))
 
 
+@pytest.mark.usefixtures("restore_obs")
 class TestObsSurfaces:
     """``--json``/``--trace-out`` digests and the stats/trace commands."""
-
-    @pytest.fixture(autouse=True)
-    def restore_obs(self):
-        from repro import obs
-
-        was_enabled = obs.enabled()
-        yield
-        obs.enable() if was_enabled else obs.disable()
-        obs.reset()
 
     def test_schedule_json_embeds_phase_and_transform_digest(self, run_cli):
         import json
@@ -378,6 +475,22 @@ class TestObsSurfaces:
         stages = [t["stage"] for t in transforms]
         assert "redundancy-elimination" in stages
         assert any("options_delta" in t for t in transforms)
+
+    def test_schedule_json_is_the_response_envelope(self, run_cli):
+        import json
+
+        code, out, _ = run_cli(
+            "schedule", "--machine", "K5", "--ops", "200", "--json"
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert document["kind"] == "list"
+        assert document["backend"] == "bitvector"
+        assert document["ok"] is True
+        assert document["errors"] == []
+        assert document["blocks"] > 0
+        assert "schedules" not in document
+        assert "configuration" not in document
 
     def test_schedule_batch_json_embeds_obs_digest(self, run_cli):
         import json

@@ -54,3 +54,8 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "issue bandwidth" in out
         assert "over-subscribes" in out
+
+    def test_batch_service(self, capsys):
+        load_example("batch_service").main()
+        out = capsys.readouterr().out
+        assert "recovered output identical to clean run: True" in out

@@ -470,6 +470,30 @@ class TestMetrics:
         assert "server:request" in roots
 
 
+    def test_trace_keeps_only_the_newest_request_trees(self, monkeypatch):
+        from repro.obs import trace
+
+        monkeypatch.setattr(trace, "MAX_ROOTS", 3)
+
+        async def scenario():
+            async with AsgiClient(make_app()) as client:
+                ids = []
+                for seed in range(7):
+                    response = await client.post(
+                        "/v1/schedule", payload(ops=40, seed=seed)
+                    )
+                    assert response.status == 200
+                    ids.append(response.json()["request_id"])
+                return ids
+        ids = run(scenario())
+        roots = obs.TRACER.roots
+        assert isinstance(roots, list)
+        assert len(roots) <= 3
+        kept = [root.attrs.get("request_id") for root in roots]
+        assert ids[-1] in kept
+        assert ids[0] not in kept
+
+
 class TestConcurrency:
     """The PR's acceptance bar, in one class."""
 
