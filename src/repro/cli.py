@@ -60,6 +60,10 @@ through :mod:`repro.api`, as the server does.  Their ``--json`` is the
 digest (per-phase seconds and per-transform size/option deltas) and, for
 exact runs, the per-block gap table; ``REPRO_OBS=1`` turns recording on
 for library use.
+
+A missing or malformed user-named file (description, trace, saved span
+file) and an unknown trace machine exit 2 with one
+``<command>: <message>`` line on stderr, as a bad request does.
 """
 
 from __future__ import annotations
@@ -68,11 +72,34 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import MdesError, RequestError, ServiceError
 from repro.machines import MACHINE_NAMES, get_machine
 from repro.machines.registry import EXTRA_MACHINE_NAMES
 
 #: Every machine the CLI can target (paper four + retargeting demos).
 ALL_MACHINE_NAMES = MACHINE_NAMES + EXTRA_MACHINE_NAMES
+
+#: What a user-named input can get wrong: a bad description, request or
+#: value, or an unreadable file.  Each exits 2 with one line on stderr.
+_INPUT_ERRORS = (MdesError, RequestError, ValueError, OSError)
+
+
+def _input_error(args: argparse.Namespace, exc: Exception) -> int:
+    print(f"{args.command}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _reads_user_files(handler):
+    """Give a command that reads a user-named file the exit 2 of
+    :data:`_INPUT_ERRORS` instead of a traceback."""
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return handler(args)
+        except _INPUT_ERRORS as exc:
+            return _input_error(args, exc)
+
+    return run
 
 
 def _machine_arg(value: str) -> str:
@@ -169,6 +196,7 @@ def _load_description(args: argparse.Namespace):
         return load_mdes(handle.read())
 
 
+@_reads_user_files
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.hmdes.validator import lint_mdes
 
@@ -181,6 +209,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if warnings and args.strict else 0
 
 
+@_reads_user_files
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.hmdes import load_mdes, write_mdes
     from repro.lowlevel import compile_mdes, mdes_size_bytes
@@ -202,6 +231,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reads_user_files
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.transforms.pipeline import staged_mdes
     from repro.hmdes import load_mdes
@@ -225,6 +255,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reads_user_files
 def _cmd_expand(args: argparse.Namespace) -> int:
     from repro.hmdes import load_mdes, write_mdes
 
@@ -243,14 +274,25 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _workload(args: argparse.Namespace, name: Optional[str] = None):
     """``(machine, blocks)`` read from ``--trace``, or generated for the
     machine *name* (default ``--machine``) from ``--ops`` and ``--seed``."""
-    from repro.errors import RequestError
     from repro.workloads import WorkloadConfig, generate_blocks
-    from repro.workloads.trace import read_trace
+    from repro.workloads.trace import TraceError, read_trace
 
     if getattr(args, "trace", None):
         with open(args.trace) as handle:
-            trace_machine, blocks = read_trace(handle.read())
-        return get_machine(args.machine or trace_machine), blocks
+            text = handle.read()
+        try:
+            trace_machine, blocks = read_trace(text)
+        except TraceError as exc:
+            raise RequestError(f"{args.trace}: {exc}") from None
+        name = args.machine or trace_machine
+        if not name:
+            raise RequestError(
+                f"{args.trace} names no .machine; pass --machine"
+            )
+        try:
+            return get_machine(name), blocks
+        except KeyError as exc:
+            raise RequestError(exc.args[0]) from None
     name = name or args.machine
     if not name:
         raise RequestError("needs --machine or --trace")
@@ -420,7 +462,6 @@ def _run(args: argparse.Namespace, body, show=_show_response) -> int:
     per failed block.
     """
     from repro import obs
-    from repro.errors import MdesError, RequestError, ServiceError
     from repro.service import ScheduleResponse
 
     trace_out = getattr(args, "trace_out", None)
@@ -440,9 +481,8 @@ def _run(args: argparse.Namespace, body, show=_show_response) -> int:
                 file=sys.stderr,
             )
         return 3
-    except (MdesError, RequestError, ValueError, OSError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+    except _INPUT_ERRORS as exc:
+        return _input_error(args, exc)
     if obs.enabled() and isinstance(outcome, ScheduleResponse):
         # The JSON and the trace agree on the command's wall clock.
         outcome.wall_seconds = span.seconds
@@ -779,6 +819,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reads_user_files
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
     from repro.obs import prof

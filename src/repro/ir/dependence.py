@@ -14,14 +14,15 @@ Edges carry two latencies:
 Each operation's incoming edges are collected in one pass over the
 block, at most one per ``(pred, kind)`` pair: the first edge of a pair
 stands, and a repeat (a producer of two sources, a reader or an earlier
-writer of two destinations) is dropped.  Edges are named tuples, so
-they compare and hash as plain tuples.
+writer of two destinations) is dropped.  An edge is a ``__slots__``
+object that equals and hashes by its six fields; it is not a tuple and
+does not equal one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.operation import Operation
@@ -33,20 +34,56 @@ MEMORY = "memory"
 CONTROL = "control"
 
 
-class Edge(NamedTuple):
+class Edge:
     """A dependence from ``pred`` to ``succ`` (operation indices).
 
     ``bypass_class`` names the operation class the consumer must use
     when it issues at the shortcut distance (empty when the shortcut
-    does not narrow the consumer's alternatives).
+    does not narrow the consumer's alternatives).  The scheduler reads
+    these fields in its per-attempt loops, and a slot reads faster than
+    a tuple field.
     """
 
-    pred: int
-    succ: int
-    kind: str
-    latency: int
-    min_latency: int
-    bypass_class: str = ""
+    __slots__ = (
+        "pred", "succ", "kind", "latency", "min_latency", "bypass_class"
+    )
+
+    def __init__(
+        self,
+        pred: int,
+        succ: int,
+        kind: str,
+        latency: int,
+        min_latency: int,
+        bypass_class: str = "",
+    ) -> None:
+        self.pred = pred
+        self.succ = succ
+        self.kind = kind
+        self.latency = latency
+        self.min_latency = min_latency
+        self.bypass_class = bypass_class
+
+    def _key(self) -> Tuple[int, int, str, int, int, str]:
+        return (
+            self.pred, self.succ, self.kind, self.latency,
+            self.min_latency, self.bypass_class,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Edge):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Edge(pred={self.pred}, succ={self.succ}, kind={self.kind!r}, "
+            f"latency={self.latency}, min_latency={self.min_latency}, "
+            f"bypass_class={self.bypass_class!r})"
+        )
 
     @property
     def is_cascade_eligible(self) -> bool:

@@ -290,12 +290,22 @@ def trace_to_jsonl(roots) -> str:
 
 
 def trace_from_jsonl(text: str) -> List[Span]:
-    """Parse a JSONL trace back into root :class:`Span` trees."""
-    return [
-        Span.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Parse a JSONL trace back into root :class:`Span` trees.
+
+    Raises ``ValueError`` naming the first line that is not JSON or not
+    a span record.
+    """
+    roots: List[Span] = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            roots.append(Span.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"line {number}: not a JSON span record ({exc})"
+            ) from None
+    return roots
 
 
 # ----------------------------------------------------------------------

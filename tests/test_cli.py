@@ -633,6 +633,77 @@ class TestTraceProfiling:
         assert "p95" in out
 
 
+#: Inputs each file-reading command must reject with exit 2 and one
+#: ``<command>: <message>`` line: ``{name: (file text, message part)}``.
+_BAD_TRACES = {
+    "malformed": (".end\n.block B0\n", "line 1: .end without .block"),
+    "unknown_machine": (
+        ".machine Nope\n.block B0\n  ADD v1 = v0\n.end\n",
+        "unknown machine 'Nope'; available: PA7100",
+    ),
+    "no_machine": (
+        ".block B0\n  ADD v1 = v0\n.end\n", "names no .machine",
+    ),
+}
+_BAD_HMDES = "mdes M;\nsection resource {\n  A; @\n}\n"
+
+
+class TestUserFileErrors:
+    """Every command that reads a user-named file exits 2 on a bad one,
+    with the same ``<command>: <message>`` line ``_run`` prints."""
+
+    @staticmethod
+    def _assert_input_error(result, command, message):
+        code, _, err = result
+        assert code == 2
+        assert err.startswith(f"{command}: ")
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(_BAD_TRACES))
+    @pytest.mark.parametrize("command", ["schedule", "schedule-batch"])
+    def test_bad_trace(self, run_cli, tmp_path, command, case):
+        text, message = _BAD_TRACES[case]
+        trace = tmp_path / "work.trace"
+        trace.write_text(text)
+        self._assert_input_error(
+            run_cli(command, "--trace", str(trace)), command, message
+        )
+
+    @pytest.mark.parametrize("missing", [False, True],
+                             ids=["malformed", "missing"])
+    @pytest.mark.parametrize("command", ["lint", "compile", "optimize",
+                                         "expand"])
+    def test_bad_hmdes(self, run_cli, tmp_path, command, missing):
+        source = tmp_path / "bad.hmdes"
+        if not missing:
+            source.write_text(_BAD_HMDES)
+        argv = [command, str(source)]
+        if command != "lint":
+            argv += ["-o", str(tmp_path / "out")]
+        message = (
+            "No such file or directory" if missing
+            else "line 3: unexpected character '@'"
+        )
+        self._assert_input_error(run_cli(*argv), command, message)
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_input_missing(self, run_cli, tmp_path):
+        self._assert_input_error(
+            run_cli("trace", "--input", str(tmp_path / "missing.jsonl")),
+            "trace", "No such file or directory",
+        )
+
+    @pytest.mark.parametrize("line", ["{not json", "{}", "[1]"])
+    def test_trace_input_bad_lines(self, run_cli, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"name": "root"}\n' + line + "\n")
+        self._assert_input_error(
+            run_cli("trace", "--input", str(path)),
+            "trace", "line 2: not a JSON span record",
+        )
+
+
 class TestUnknownCommand:
     def test_bench_is_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

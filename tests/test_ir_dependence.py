@@ -9,6 +9,7 @@ from repro.ir.dependence import (
     FLOW,
     MEMORY,
     OUTPUT,
+    Edge,
     build_dependence_graph,
 )
 from repro.ir.operation import Operation
@@ -165,3 +166,31 @@ class TestGraphBookkeeping:
     def test_edge_count_and_dedup(self, a, b):
         graph = build_dependence_graph(block_of(a, b), unit_latency)
         assert graph.edge_count() == 1
+
+
+class TestEdgeValue:
+    FIELDS = (3, 7, FLOW, 2, 0, "k_cascade")
+
+    def test_equal_fields_are_equal_and_hash_equal(self):
+        a, b = Edge(*self.FIELDS), Edge(*self.FIELDS)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_bypass_class_defaults_to_empty(self):
+        assert Edge(3, 7, ANTI, 0, 0) == Edge(3, 7, ANTI, 0, 0, "")
+
+    @pytest.mark.parametrize(
+        "index, other", [(0, 4), (1, 8), (2, ANTI), (3, 3), (4, 1), (5, "")]
+    )
+    def test_any_single_field_breaks_equality(self, index, other):
+        fields = list(self.FIELDS)
+        fields[index] = other
+        assert Edge(*fields) != Edge(*self.FIELDS)
+
+    def test_is_not_a_tuple(self):
+        edge = Edge(*self.FIELDS)
+        assert edge != self.FIELDS
+        assert edge.is_cascade_eligible
+        assert not Edge(3, 7, FLOW, 2, 2).is_cascade_eligible
