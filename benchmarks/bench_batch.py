@@ -1,4 +1,4 @@
-"""Batch-scheduling service throughput and disk-cache load time.
+"""Batch-scheduling service throughput and LMDES load time.
 
 Two measurements back the service layer's claims:
 
@@ -7,8 +7,8 @@ Two measurements back the service layer's claims:
   is the one the JSON artifact reports; it carries no floor of its own
   (the repo benchmark, ``perfbench/``, gates the service path).
 * **Persistence**: median cold compile (HMDES parse + transform
-  pipeline + compile) versus median warm ``load_lmdes`` from the disk
-  tier, which is the paper's motivation for shipping the low-level
+  pipeline + compile) versus median ``load_lmdes`` of the saved LMDES
+  file, which is the paper's motivation for shipping the low-level
   file: loading must be much faster than regenerating.
 """
 
@@ -19,7 +19,7 @@ from conftest import BENCH_OPS, write_result
 
 from repro.analysis.reporting import format_table
 from repro.engine.cache import DescriptionCache
-from repro.engine.diskcache import DiskDescriptionCache
+from repro.lowlevel.serialize import load_lmdes, save_lmdes
 from repro.machines import get_machine, supersparc
 from repro.service import BatchConfig, schedule_batch
 from repro.workloads import WorkloadConfig, generate_blocks
@@ -30,31 +30,30 @@ REP, STAGE, BITVECTOR = "andor", 4, True
 
 
 def _median_load_times(tmp_path):
-    """(cold compile, warm disk load) medians over fresh caches.
+    """(cold compile, LMDES file load) medians over fresh objects.
 
     Every rep rebuilds the Machine from scratch so the cold leg pays
     the full translate/transform/compile pipeline, exactly what a cold
-    process would.
+    process would; the load leg reads and loads the file
+    ``repro compile`` would have written for the same configuration.
     """
-    disk_dir = tmp_path / "load-cache"
-    cold, warm = [], []
+    cold, loads = [], []
+    compiled = None
     for _ in range(LOAD_REPS):
         machine = supersparc.build_machine()
         started = time.perf_counter()
-        DescriptionCache().compiled(machine, REP, STAGE, BITVECTOR)
+        compiled = DescriptionCache().compiled(
+            machine, REP, STAGE, BITVECTOR
+        )
         cold.append(time.perf_counter() - started)
-    # Publish once, then time pure disk loads from fresh caches.
-    DescriptionCache(disk=DiskDescriptionCache(disk_dir)).compiled(
-        supersparc.build_machine(), REP, STAGE, BITVECTOR
-    )
+    path = tmp_path / "supersparc.lmdes.json"
+    path.write_text(save_lmdes(compiled))
     for _ in range(LOAD_REPS):
-        machine = supersparc.build_machine()
-        cache = DescriptionCache(disk=DiskDescriptionCache(disk_dir))
         started = time.perf_counter()
-        cache.compiled(machine, REP, STAGE, BITVECTOR)
-        warm.append(time.perf_counter() - started)
-        assert cache.stats.disk_hits == 1
-    return statistics.median(cold), statistics.median(warm)
+        loaded = load_lmdes(path.read_text())
+        loads.append(time.perf_counter() - started)
+        assert loaded.source.name == compiled.source.name
+    return statistics.median(cold), statistics.median(loads)
 
 
 def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
@@ -62,11 +61,7 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
     blocks = generate_blocks(
         machine, WorkloadConfig(total_ops=BENCH_OPS)
     )
-    config = BatchConfig(
-        backend="bitvector",
-        chunk_size=CHUNK_SIZE,
-        cache_dir=str(tmp_path / "batch-cache"),
-    )
+    config = BatchConfig(backend="bitvector", chunk_size=CHUNK_SIZE)
 
     def run_batch():
         started = time.perf_counter()
@@ -77,8 +72,8 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
     assert result.total_ops >= BENCH_OPS
     assert result.errors == []
 
-    cold_s, warm_s = _median_load_times(tmp_path)
-    warm_speedup = cold_s / warm_s if warm_s else 0.0
+    cold_s, load_s = _median_load_times(tmp_path)
+    load_speedup = cold_s / load_s if load_s else 0.0
 
     text = format_table(
         ("Measure", "Value"),
@@ -88,10 +83,10 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
             ("chunks", str(result.chunk_count)),
             ("batch seconds", f"{batch_s:.3f}"),
             ("cold compile seconds (median)", f"{cold_s:.4f}"),
-            ("warm disk-load seconds (median)", f"{warm_s:.4f}"),
-            ("warm load speedup", f"{warm_speedup:.1f}x"),
+            ("LMDES file load seconds (median)", f"{load_s:.4f}"),
+            ("LMDES load speedup", f"{load_speedup:.1f}x"),
         ],
-        title="Batch-scheduling service and persistent-cache timings",
+        title="Batch-scheduling service and LMDES load timings",
     )
     payload = {
         "machine": "SuperSPARC",
@@ -101,11 +96,11 @@ def test_batch_service_regenerate(results_dir, benchmark, tmp_path):
         "chunks": result.chunk_count,
         "batch_seconds": batch_s,
         "cold_compile_seconds": cold_s,
-        "warm_load_seconds": warm_s,
-        "warm_load_speedup": warm_speedup,
+        "lmdes_load_seconds": load_s,
+        "lmdes_load_speedup": load_speedup,
     }
     write_result(results_dir, "batch.txt", text, payload=payload)
 
     # Loading the shipped low-level file must beat regenerating it by a
     # wide margin (paper section 4); 5x is the acceptance floor.
-    assert warm_speedup >= 5.0
+    assert load_speedup >= 5.0

@@ -10,15 +10,13 @@ tier use.  The walk-through:
 
 1. compile a machine to its low-level (LMDES) form with one call;
 2. schedule a workload in-process (`api.schedule`);
-3. schedule the same workload in chunks with retries, a persistent
-   disk cache, and typed error reporting (`api.schedule_batch`);
+3. schedule the same workload in chunks with retries and typed error
+   reporting (`api.schedule_batch`);
 4. inject a seeded fault profile and show the recovered run is
    bit-for-bit identical to the clean one.
 
 Run:  python examples/batch_service.py
 """
-
-import tempfile
 
 from repro import api
 from repro.service import faults
@@ -46,48 +44,41 @@ def main():
     print(f"serial: {serial.ops} ops in {serial.cycles} cycles, "
           f"{serial.attempts} attempts (request {serial.request_id})")
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        config = api.BatchConfig(
-            backend="bitvector",
-            chunk_size=8,
-            cache_dir=cache_dir,
-            retry=api.RetryPolicy(retries=2, seed=42),
-            on_error="report",
-        )
-        request = api.BatchRequest(
-            machine=MACHINE, blocks=blocks, config=config,
-        )
+    config = api.BatchConfig(
+        backend="bitvector",
+        chunk_size=8,
+        retry=api.RetryPolicy(retries=2, seed=42),
+        on_error="report",
+    )
+    request = api.BatchRequest(machine=MACHINE, blocks=blocks, config=config)
 
-        # 3. The service path: chunked, retried, disk-cached.
-        clean = api.schedule_batch(request)
-        print(f"batch:  {clean.ops} ops across "
-              f"{clean.result.chunk_count} chunks, "
-              f"{clean.cache['disk_stores']} artifact(s) published")
-        for failure in clean.errors:  # typed quarantine records
-            print(f"  quarantined block {failure.block_index}: "
-                  f"{failure.error_type}")
+    # 3. The service path: chunked, retried, typed error records.
+    clean = api.schedule_batch(request)
+    print(f"batch:  {clean.ops} ops across "
+          f"{clean.result.chunk_count} chunks")
+    for failure in clean.errors:  # typed quarantine records
+        print(f"  quarantined block {failure.block_index}: "
+              f"{failure.error_type}")
 
-        # 4. Same run under a seeded fault profile: chunk 0 finds the
-        #    published cache artifact corrupted (the disk tier
-        #    quarantines and rebuilds it), and chunk 1 suffers a
-        #    transient scheduling error.
-        #    (Equivalent to REPRO_FAULTS="corrupt@0;sched@1" in the env.)
-        with faults.injected(faults.parse_faults("corrupt@0;sched@1")):
-            recovered = api.schedule_batch(request)
-        print(f"faulted: {recovered.resilience['retries']} retry(ies), "
-              f"{recovered.cache['disk_quarantined']} cache artifact(s) "
-              f"quarantined, {recovered.resilience['quarantined']} "
-              f"block(s) quarantined")
+    # 4. Same run under a seeded fault profile: chunk 0 suffers one
+    #    transient scheduling error and recovers on a retry; chunk 1
+    #    fails on every attempt, exhausts its retries and recovers
+    #    through block-by-block isolation.
+    #    (Equivalent to REPRO_FAULTS="sched@0;sched@1#*" in the env.)
+    with faults.injected(faults.parse_faults("sched@0;sched@1#*")):
+        recovered = api.schedule_batch(request)
+    print(f"faulted: {recovered.resilience['retries']} retry(ies), "
+          f"{recovered.resilience['quarantined']} block(s) quarantined")
 
-        identical = (
-            recovered.signature() == clean.signature()
-            and recovered.cycles == clean.cycles
-        )
-        print(f"recovered output identical to clean run: {identical}")
-        assert identical
+    identical = (
+        recovered.signature() == clean.signature()
+        and recovered.cycles == clean.cycles
+    )
+    print(f"recovered output identical to clean run: {identical}")
+    assert identical
 
-        # The batch envelope matches the serial one bit-for-bit.
-        assert clean.signature() == serial.signature()
+    # The batch envelope matches the serial one bit-for-bit.
+    assert clean.signature() == serial.signature()
 
 
 if __name__ == "__main__":

@@ -50,7 +50,6 @@ from repro.engine.cache import DescriptionCache
 from repro.engine.registry import create_engine, engine_names, get_engine_spec
 from repro.errors import (
     BackpressureError,
-    CacheCorruptionError,
     DeadlineExceededError,
     HmdesError,
     MdesError,
@@ -357,7 +356,6 @@ __all__ = [
     "RequestError",
     "SchedulingError",
     "ServiceError",
-    "CacheCorruptionError",
     "BackpressureError",
     "QueueFullError",
     "QuotaExceededError",

@@ -19,12 +19,11 @@ Commands:
   with the branch-and-bound exact scheduler and report the per-block
   optimality gap against the list-scheduler seed.
 * ``schedule-batch (--machine NAME | --trace FILE) [--lmdes FILE]
-  [--chunk-size N] [--cache-dir DIR] [--retries N]
-  [--on-error raise|report] [options]`` -- schedule a workload in
-  chunks with a persistent on-disk description cache (or against a
-  shipped LMDES file), retrying recoverable faults and quarantining
-  poisoned blocks.
-* ``serve [--host H] [--port P] [--cache-dir DIR] [--prewarm NAME]
+  [--chunk-size N] [--retries N] [--on-error raise|report]
+  [options]`` -- schedule a workload in chunks (or against a shipped
+  LMDES file), retrying recoverable faults and quarantining poisoned
+  blocks.
+* ``serve [--host H] [--port P] [--prewarm NAME]
   [--max-inflight N] [--per-client N] [--deadline S]`` -- run the
   long-running scheduling service: POST workloads to
   ``/v1/schedule``, every request served out of one warm description
@@ -379,8 +378,8 @@ def _show_response(args: argparse.Namespace, response) -> int:
 
     ``--json`` prints its wire form without the schedules, plus the obs
     digest and, for exact runs, the ``per_block`` gap table; otherwise
-    one human summary, with the chunk, cache, oracle, resilience and
-    exact lines the envelope carries.
+    one human summary, with the chunk, oracle, resilience and exact
+    lines the envelope carries.
     """
     import json
 
@@ -418,11 +417,6 @@ def _show_response(args: argparse.Namespace, response) -> int:
         print(f"checks/option:       "
               f"{checks / options if options else 0.0:.2f}")
     print(f"wall seconds:        {response.wall_seconds:.3f}")
-    cache = response.cache
-    if cache and getattr(args, "cache_dir", None):
-        print(f"description cache:   {cache['disk_hits']} disk hit(s), "
-              f"{cache['disk_misses']} miss(es), {cache['disk_stores']} "
-              f"store(s), {cache['disk_quarantined']} quarantined")
     if response.verify is not None:
         report = response.verify
         verdict = "ok" if report["ok"] else (
@@ -538,7 +532,6 @@ def _cmd_schedule_batch(args: argparse.Namespace) -> int:
                 lmdes_path=args.lmdes,
                 stage=args.stage,
                 chunk_size=args.chunk_size,
-                cache_dir=args.cache_dir,
                 retry=api.RetryPolicy(retries=args.retries),
                 on_error=args.on_error,
                 verify=args.verify,
@@ -563,7 +556,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         stage=args.stage,
         verify=not args.no_verify,
         exact_sample=args.exact_sample,
-        cache_dir=args.cache_dir,
     )
     try:
         config.validate()
@@ -696,7 +688,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        cache_dir=args.cache_dir,
         chunk_size=args.chunk_size,
         queue=QueuePolicy(
             max_inflight=args.max_inflight,
@@ -1002,8 +993,8 @@ def build_parser() -> argparse.ArgumentParser:
     batch = commands.add_parser(
         "schedule-batch",
         help=(
-            "schedule a workload in chunks, with a persistent on-disk "
-            "description cache"
+            "schedule a workload in chunks, with chunk retries and "
+            "per-block quarantine"
         ),
     )
     workload_args(batch, ops=10000)
@@ -1017,13 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--chunk-size", type=int,
                        default=BatchConfig.chunk_size,
                        help="blocks per chunk, the unit of retry")
-    batch.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "persistent description-cache directory (warm runs load "
-            "the compiled LMDES file instead of recompiling)"
-        ),
-    )
     batch.add_argument(
         "--retries", type=int, default=RetryPolicy.retries,
         help="extra attempts per chunk on retryable failures",
@@ -1093,10 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--cache-dir", default=None,
-        help="persistent description-cache directory for the fleet",
-    )
-    sweep.add_argument(
         "--out", default=None, metavar="FILE",
         help="write the full report (meta + per-variant rows) as JSONL",
     )
@@ -1112,11 +1092,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default=ServerConfig.host)
     serve.add_argument("--port", type=int, default=ServerConfig.port)
-    serve.add_argument(
-        "--cache-dir", default=None,
-        help="persistent description-cache directory shared by all "
-             "requests",
-    )
     serve.add_argument("--chunk-size", type=int,
                        default=ServerConfig.chunk_size,
                        help="blocks per batch chunk")

@@ -22,10 +22,10 @@ bench/analysis runs stop re-translating and re-compiling HMDES.
 """
 
 from repro.engine.base import QueryEngine, Reservation
-from repro.engine.cache import CacheStats, DescriptionCache, GLOBAL_CACHE
-from repro.engine.diskcache import (
-    DiskDescriptionCache,
-    description_digest,
+from repro.engine.cache import (
+    CacheStats,
+    DescriptionCache,
+    GLOBAL_CACHE,
     machine_content_token,
 )
 from repro.engine.table import EichenbergerEngine, TableEngine
@@ -42,7 +42,6 @@ __all__ = [
     "AutomatonEngine",
     "CacheStats",
     "DescriptionCache",
-    "DiskDescriptionCache",
     "EichenbergerEngine",
     "EngineSpec",
     "GLOBAL_CACHE",
@@ -50,7 +49,6 @@ __all__ = [
     "Reservation",
     "TableEngine",
     "create_engine",
-    "description_digest",
     "engine_names",
     "machine_content_token",
     "get_engine_spec",

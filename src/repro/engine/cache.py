@@ -12,66 +12,60 @@ trees are frozen dataclasses), so sharing them across engines, suites,
 and CLI invocations inside one process is safe.  Keys use a *content
 hash* of the machine's description text (:func:`machine_content_token`),
 not its object identity: two machine objects built from the same HMDES
-source share entries -- including across processes, through the optional
-persistent disk tier -- while ad-hoc test machines without source text
+source share entries, while ad-hoc test machines without source text
 get identity tokens and never alias anything.
 
-The disk tier sits below the LRU: a compiled-description miss first
-tries ``load_lmdes`` on the cache directory's artifact for the
-configuration and only then rebuilds (and re-publishes) it.  Staged
-:class:`Mdes` trees are memory-only; the disk format is the compiled
-low-level form, exactly as in the paper's shipped-LMDES workflow.
+The cache lives in memory only.  The one persisted form of a compiled
+description is the LMDES file ``repro compile`` writes
+(:mod:`repro.lowlevel.serialize`), which ``schedule-batch --lmdes``
+loads instead of re-deriving it -- the paper's shipped low-level file.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 from repro import obs
 from repro.core.mdes import Mdes
-from repro.engine.diskcache import (
-    DiskDescriptionCache,
-    description_digest,
-    is_persistent_token,
-    machine_content_token,
-)
 from repro.lowlevel.compiled import CompiledMdes, compile_mdes
 from repro.transforms.pipeline import staged_mdes
 
 
+def machine_content_token(machine) -> str:
+    """A stable content identity for a machine description.
+
+    Hashes the HMDES source text plus the name and the AND-wrap flag
+    (both change what ``build_or``/``build_andor`` produce).  Objects
+    without an ``hmdes_source`` string -- ad-hoc test doubles -- get an
+    identity-based token, so they never alias a real machine.
+    """
+    source = getattr(machine, "hmdes_source", None)
+    if not isinstance(source, str) or not source:
+        return f"unhashed:{id(machine):x}"
+    digest = hashlib.sha256()
+    digest.update(
+        f"{machine.name}|{bool(getattr(machine, 'wrap_or_trees', False))}|"
+        .encode()
+    )
+    digest.update(source.encode())
+    return "sha256:" + digest.hexdigest()
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for the description cache.
+    """Hit/miss/eviction accounting for the description cache.
 
-    ``hits``/``misses``/``evictions`` count the in-memory LRU tier;
-    the ``disk_*`` fields count the persistent tier underneath it
-    (consulted only on LRU misses of compiled descriptions).
-
-    Snapshot semantics -- identical for both tiers:
-
-    * :meth:`copy` freezes every counter, memory *and* disk, so
-      ``stats.since(earlier)`` yields the activity (including
-      ``disk_*``) between the snapshot and now.
-    * :meth:`reset` zeroes every counter in place, including the disk
-      tier's.  It does **not** touch the on-disk artifacts themselves:
-      after a reset a warm configuration still disk-hits (and counts a
-      fresh ``disk_hits``), because reset is bookkeeping, not
-      invalidation.  Delete the cache directory to invalidate entries.
-    * The disk counters move only on LRU misses of *compiled*
-      descriptions for machines with hashable source text; staged
-      ``Mdes`` lookups never consult the disk tier, so ``since()``
-      windows over mdes-only activity show zero ``disk_*`` deltas.
+    :meth:`copy` freezes the counters, so ``stats.since(earlier)``
+    yields the activity between that snapshot and now; :meth:`reset`
+    zeroes them in place.
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_stores: int = 0
-    disk_quarantined: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -83,10 +77,6 @@ class CacheStats:
         self.hits += other.hits
         self.misses += other.misses
         self.evictions += other.evictions
-        self.disk_hits += other.disk_hits
-        self.disk_misses += other.disk_misses
-        self.disk_stores += other.disk_stores
-        self.disk_quarantined += other.disk_quarantined
 
     def __iadd__(self, other: "CacheStats") -> "CacheStats":
         self.merge(other)
@@ -106,13 +96,7 @@ class CacheStats:
     def copy(self) -> "CacheStats":
         """An independent copy (snapshot) of the counters."""
         return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            disk_hits=self.disk_hits,
-            disk_misses=self.disk_misses,
-            disk_stores=self.disk_stores,
-            disk_quarantined=self.disk_quarantined,
+            hits=self.hits, misses=self.misses, evictions=self.evictions,
         )
 
     def since(self, earlier: "CacheStats") -> "CacheStats":
@@ -121,12 +105,6 @@ class CacheStats:
             hits=self.hits - earlier.hits,
             misses=self.misses - earlier.misses,
             evictions=self.evictions - earlier.evictions,
-            disk_hits=self.disk_hits - earlier.disk_hits,
-            disk_misses=self.disk_misses - earlier.disk_misses,
-            disk_stores=self.disk_stores - earlier.disk_stores,
-            disk_quarantined=(
-                self.disk_quarantined - earlier.disk_quarantined
-            ),
         )
 
     def reset(self) -> None:
@@ -139,29 +117,15 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.disk_stores = 0
-        self.disk_quarantined = 0
 
 
 class DescriptionCache:
-    """LRU map from (description content, rep, stage, options) to results.
+    """LRU map from (description content, rep, stage, options) to results."""
 
-    ``disk`` attaches a persistent :class:`DiskDescriptionCache` tier
-    below the LRU for compiled descriptions.
-    """
-
-    def __init__(
-        self,
-        maxsize: int = 64,
-        disk: Optional[DiskDescriptionCache] = None,
-        name: str = "default",
-    ) -> None:
+    def __init__(self, maxsize: int = 64, name: str = "default") -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1: {maxsize}")
         self.maxsize = maxsize
-        self.disk = disk
         self.name = name
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         self.stats = CacheStats()
@@ -232,37 +196,12 @@ class DescriptionCache:
         bitvector: bool,
         reduce: bool = False,
     ) -> CompiledMdes:
-        """The staged description compiled for constraint checking.
-
-        With a disk tier attached, an LRU miss first tries the on-disk
-        LMDES artifact for this exact configuration; only when that too
-        misses (or is quarantined) is the transformation pipeline re-run
-        -- and the rebuilt artifact is published for the next process.
-        """
+        """The staged description compiled for constraint checking."""
         token = machine_content_token(machine)
         key = ("lmdes", machine.name, token, rep, stage, bitvector, reduce)
-        persistent = (
-            self.disk is not None and is_persistent_token(token)
-        )
-        digest = (
-            description_digest(token, rep, stage, bitvector, reduce)
-            if persistent
-            else ""
-        )
-
-        def build() -> CompiledMdes:
-            if persistent:
-                loaded = self.disk.load(machine.name, digest, self.stats)
-                if loaded is not None:
-                    return loaded
-            value = compile_mdes(
-                self.mdes(machine, rep, stage, reduce), bitvector=bitvector
-            )
-            if persistent:
-                self.disk.store(machine.name, digest, value, self.stats)
-            return value
-
-        return self._lookup(key, build)
+        return self._lookup(key, lambda: compile_mdes(
+            self.mdes(machine, rep, stage, reduce), bitvector=bitvector
+        ))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -272,11 +211,7 @@ class DescriptionCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every in-memory entry and zero the counters in place.
-
-        On-disk artifacts survive a clear -- they are the warm-restart
-        tier; delete the cache directory to invalidate them.
-        """
+        """Drop every entry and zero the counters in place."""
         self._entries.clear()
         self.stats.reset()
 

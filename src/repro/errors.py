@@ -64,15 +64,6 @@ class SchedulingError(ReproError):
     """The scheduler could not make progress (e.g. an unschedulable op)."""
 
 
-class CacheCorruptionError(ReproError):
-    """A persistent cache entry failed to load back.
-
-    Raised (in strict mode) or recorded by the disk tier when an entry
-    is truncated, version-mismatched, or structurally broken.  Always
-    *retryable*: the entry is quarantined and a rebuild succeeds.
-    """
-
-
 class ServiceError(ReproError):
     """A batch-service request could not be completed.
 

@@ -116,16 +116,35 @@ def save_lmdes(compiled: CompiledMdes) -> str:
     return json.dumps(document, indent=1)
 
 
+#: What decoding a document that is not a well-formed LMDES raises.
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 def load_lmdes(text: str) -> CompiledMdes:
-    """Load LMDES JSON text into a compiled description."""
-    document = json.loads(text)
-    if document.get("format") != "lmdes":
+    """Load LMDES JSON text into a compiled description.
+
+    Raises :class:`MdesError` for any text that is not a well-formed
+    LMDES document of :data:`LMDES_VERSION`.
+    """
+    try:
+        document = json.loads(text)
+    except ValueError as exc:
+        raise MdesError(f"not an LMDES document: {exc}") from None
+    if not isinstance(document, dict) or document.get("format") != "lmdes":
         raise MdesError("not an LMDES document")
     if document.get("version") != LMDES_VERSION:
         raise MdesError(
             f"unsupported LMDES version {document.get('version')!r}"
         )
+    try:
+        return _decode(document)
+    except _MALFORMED as exc:
+        raise MdesError(
+            f"not an LMDES document: {type(exc).__name__}: {exc}"
+        ) from None
 
+
+def _decode(document: dict) -> CompiledMdes:
     resources = ResourceTable()
     by_bit = {}
     for name in document["resources"]:

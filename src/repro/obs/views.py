@@ -46,16 +46,6 @@ _CACHE_FIELDS = (
      "Description-cache lookups by tier and outcome."),
     ("evictions", "repro_cache_evictions_total", (),
      "LRU entries evicted from the in-memory tier."),
-    ("disk_hits", "repro_cache_requests_total",
-     (("outcome", "hit"), ("tier", "disk")),
-     "Description-cache lookups by tier and outcome."),
-    ("disk_misses", "repro_cache_requests_total",
-     (("outcome", "miss"), ("tier", "disk")),
-     "Description-cache lookups by tier and outcome."),
-    ("disk_stores", "repro_cache_disk_stores_total", (),
-     "Compiled descriptions published to the disk tier."),
-    ("disk_quarantined", "repro_cache_disk_quarantined_total", (),
-     "Corrupt or version-mismatched disk entries moved aside."),
 )
 
 

@@ -13,7 +13,7 @@ The app is a dependency-free ASGI 3 callable::
 
     from repro.server import ServerConfig, create_app
 
-    app = create_app(ServerConfig(cache_dir=".mdes-cache"))
+    app = create_app(ServerConfig(prewarm=(("K5", "bitvector"),)))
 
 Host it with the bundled stdlib server (``repro serve`` /
 :func:`repro.server.http.serve`) or any external ASGI server.  Tests

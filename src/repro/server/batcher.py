@@ -69,8 +69,8 @@ class MicroBatcher:
             :meth:`BatchSubmitter.submit_captured`; injectable so tests
             can interpose slow or failing runs.
         base_config: Server-side :class:`BatchConfig` defaults (chunk
-            size, cache dir); per-request fields (backend, stage,
-            direction, verify) are overlaid from the batch key.
+            size); per-request fields (backend, stage, direction,
+            verify) are overlaid from the batch key.
         window_seconds: How long the first rider holds the window open
             for others to join.  Zero still batches whatever lands in
             the same event-loop tick.

@@ -39,8 +39,6 @@ class ServerConfig:
     Attributes:
         host/port: Bind address for the socket host (ignored by the
             in-process test client).
-        cache_dir: Disk tier behind the warm description cache;
-            ``None`` keeps the cache memory-only.
         chunk_size: Blocks per batch chunk.
         queue: Admission limits (bounded queue + per-client quota).
         window_seconds: Micro-batching window.
@@ -56,7 +54,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8181
-    cache_dir: Optional[str] = None
     chunk_size: int = 32
     queue: QueuePolicy = field(default_factory=QueuePolicy)
     window_seconds: float = 0.004
@@ -68,9 +65,7 @@ class ServerConfig:
 
     def batch_defaults(self) -> BatchConfig:
         """The server-side :class:`BatchConfig` base for every run."""
-        return BatchConfig(
-            chunk_size=self.chunk_size, cache_dir=self.cache_dir,
-        )
+        return BatchConfig(chunk_size=self.chunk_size)
 
 
 class ServerState:
@@ -79,7 +74,6 @@ class ServerState:
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config or ServerConfig()
         self.submitter = BatchSubmitter(
-            cache_dir=self.config.cache_dir,
             max_workers=self.config.submit_threads,
         )
         self.admission = Admission(self.config.queue)

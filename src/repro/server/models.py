@@ -47,8 +47,8 @@ _SCHEDULE_KEYS = frozenset((
 _BATCH_KEYS = _SCHEDULE_KEYS | {"config"}
 
 #: Keys the wire ``"config"`` object may set.  Deliberately narrower
-#: than :class:`BatchConfig`: placement knobs (``cache_dir``) and the
-#: fault-injection surface stay server-side.
+#: than :class:`BatchConfig`: a server-side file (``lmdes_path``) and
+#: the fault-injection surface stay server-side.
 _CONFIG_KEYS = frozenset(("chunk_size", "on_error", "retries"))
 
 
@@ -204,9 +204,8 @@ def decode_batch_request(
 ) -> Tuple[BatchRequest, bool]:
     """Decode a ``POST /v1/schedule/batch`` body.
 
-    ``base_config`` carries the server-side defaults (cache dir, chunk
-    size); the body's ``"config"`` object overrides only the
-    client-safe subset.
+    ``base_config`` carries the server-side defaults (chunk size); the
+    body's ``"config"`` object overrides only the client-safe subset.
     """
     payload = _expect(payload, "request body")
     _reject_unknown(payload, _BATCH_KEYS, "request")

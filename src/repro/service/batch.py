@@ -24,10 +24,10 @@ wholesale and the chunk is re-run against a fresh engine, so the outcome
 that finally lands is byte-identical to a clean run's.  Recovery is
 layered:
 
-1. **Chunk retries** -- a retryable failure (transient
-   ``SchedulingError``, cache corruption, an ``OSError``) consumes one
-   unit of the chunk's :class:`RetryPolicy` budget and the chunk is
-   re-run after a deterministic backoff.
+1. **Chunk retries** -- a retryable failure (a transient
+   ``SchedulingError``) consumes one unit of the chunk's
+   :class:`RetryPolicy` budget and the chunk is re-run after a
+   deterministic backoff.
 2. **Isolation** -- a chunk that exhausts its retry budget is probed
    block by block (fault injection suppressed): deterministically
    failing blocks are quarantined as typed
@@ -43,17 +43,17 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.engine.base import QueryEngine
 from repro.engine.cache import CacheStats, DescriptionCache
-from repro.engine.diskcache import DiskDescriptionCache
 from repro.engine.registry import create_engine
 from repro.engine.table import TableEngine
 from repro.errors import ServiceError, VerificationError
 from repro.ir.block import BasicBlock
 from repro.lowlevel.checker import CheckStats
+from repro.lowlevel.serialize import load_lmdes
 from repro.machines import get_machine
 from repro.scheduler import ListScheduler, BlockSchedule, schedule_workload
 from repro.service import faults
@@ -115,14 +115,7 @@ class BatchResult:
     def cache_summary(self) -> Dict[str, int]:
         """The ``cache`` block of every JSON view of this run."""
         cache = self.cache_stats
-        return {
-            "memory_hits": cache.hits,
-            "memory_misses": cache.misses,
-            "disk_hits": cache.disk_hits,
-            "disk_misses": cache.disk_misses,
-            "disk_stores": cache.disk_stores,
-            "disk_quarantined": cache.disk_quarantined,
-        }
+        return {"memory_hits": cache.hits, "memory_misses": cache.misses}
 
 
 @dataclass
@@ -163,27 +156,27 @@ def _chunk_blocks(
     ]
 
 
-#: Per-process memo of LMDES files already loaded (path -> compiled).
-_LMDES_FILES: dict = {}
+#: Builds the fresh engine of one chunk attempt or isolation probe.
+_EngineFactory = Callable[[], QueryEngine]
 
 
-def _make_engine(
+def _engine_factory(
     machine, config: BatchConfig, cache: DescriptionCache
-) -> QueryEngine:
-    if config.lmdes_path:
-        compiled = _LMDES_FILES.get(config.lmdes_path)
-        if compiled is None:
-            from repro.lowlevel.serialize import load_lmdes
+) -> _EngineFactory:
+    """The run's engine factory.
 
-            with open(config.lmdes_path) as handle:
-                compiled = load_lmdes(handle.read())
-            _LMDES_FILES[config.lmdes_path] = compiled
-        return TableEngine(compiled)
-    return create_engine(
-        config.backend or DEFAULT_BACKEND,
-        machine,
-        stage=config.stage,
-        cache=cache,
+    An LMDES file is read and loaded here, once per run and before the
+    first chunk: a missing or malformed file fails the run as bad
+    input (``OSError`` / :class:`~repro.errors.MdesError`) instead of
+    being retried and quarantined block by block.
+    """
+    if config.lmdes_path:
+        with open(config.lmdes_path) as handle:
+            compiled = load_lmdes(handle.read())
+        return lambda: TableEngine(compiled)
+    backend = config.backend or DEFAULT_BACKEND
+    return lambda: create_engine(
+        backend, machine, stage=config.stage, cache=cache
     )
 
 
@@ -193,13 +186,14 @@ def _schedule_chunk(
     blocks: List[BasicBlock],
     config: BatchConfig,
     cache: DescriptionCache,
+    make_engine: _EngineFactory,
 ) -> _ChunkOutcome:
     cache_before = cache.stats.copy()
     with obs.capture() as captured:
         with obs.span(
             "batch:chunk", memory=True, index=index, blocks=len(blocks)
         ) as sp:
-            engine = _make_engine(machine, config, cache)
+            engine = make_engine()
             run = schedule_workload(
                 machine,
                 None,
@@ -250,6 +244,7 @@ def _isolate_chunk(
     state: _ChunkState,
     config: BatchConfig,
     cache: DescriptionCache,
+    make_engine: _EngineFactory,
 ) -> Tuple[_ChunkOutcome, List[BlockFailure]]:
     """Quarantine a chunk that failed deterministically across retries.
 
@@ -272,7 +267,7 @@ def _isolate_chunk(
                 # from probing are deliberately thrown away.
                 for offset, block in enumerate(state.blocks):
                     try:
-                        engine = _make_engine(machine, config, cache)
+                        engine = make_engine()
                         ListScheduler(
                             machine, None, direction=config.direction,
                             engine=engine,
@@ -286,7 +281,8 @@ def _isolate_chunk(
                         survivors.append(block)
             try:
                 outcome = _schedule_chunk(
-                    machine, state.index, survivors, config, cache
+                    machine, state.index, survivors, config, cache,
+                    make_engine,
                 )
             except Exception as exc:  # pragma: no cover - probe passed
                 logger.exception(
@@ -323,6 +319,7 @@ def _run_chunk(
     config: BatchConfig,
     plan: Optional[faults.FaultPlan],
     cache: DescriptionCache,
+    make_engine: _EngineFactory,
     result: BatchResult,
 ) -> _ChunkOutcome:
     """One chunk through its retries, then isolation if they run out.
@@ -331,12 +328,10 @@ def _run_chunk(
     """
     while True:
         try:
-            faults.apply_chunk_faults(
-                plan, state.index, state.attempts,
-                cache_dir=config.cache_dir,
-            )
+            faults.apply_chunk_faults(plan, state.index, state.attempts)
             return _schedule_chunk(
-                machine, state.index, state.blocks, config, cache
+                machine, state.index, state.blocks, config, cache,
+                make_engine,
             )
         except Exception as exc:
             state.attempts += 1
@@ -344,7 +339,9 @@ def _run_chunk(
                 result.retries += 1
                 _record_retry(state, exc, config)
                 continue
-            outcome, failures = _isolate_chunk(machine, state, config, cache)
+            outcome, failures = _isolate_chunk(
+                machine, state, config, cache, make_engine
+            )
             result.errors.extend(failures)
             return outcome
 
@@ -375,11 +372,13 @@ def schedule_batch(
     a description compiles at most once across every request that
     shares the cache.
 
-    Recoverable faults (transient scheduling errors, corrupt cache
-    entries) are retried under ``config.retry`` without changing the
-    result; blocks that fail deterministically are quarantined and
-    either reported (``on_error="report"``) or raised as a
-    :class:`~repro.errors.ServiceError` (``on_error="raise"``).
+    Transient scheduling errors are retried under ``config.retry``
+    without changing the result; blocks that fail deterministically are
+    quarantined and either reported (``on_error="report"``) or raised
+    as a :class:`~repro.errors.ServiceError` (``on_error="raise"``).
+    A ``config.lmdes_path`` that cannot be read or is not a well-formed
+    LMDES raises ``OSError`` / :class:`~repro.errors.MdesError` before
+    any chunk runs.
     """
     if isinstance(machine, BatchRequest):
         if blocks is not None or config is not None:
@@ -396,10 +395,8 @@ def schedule_batch(
     if isinstance(machine, str):
         machine = get_machine(machine)
     if cache is None:
-        cache = DescriptionCache(
-            disk=DiskDescriptionCache(config.cache_dir)
-            if config.cache_dir else None
-        )
+        cache = DescriptionCache()
+    make_engine = _engine_factory(machine, config, cache)
     plan = faults.current_plan()
     block_list = list(blocks)
     chunks = _chunk_blocks(block_list, config.chunk_size)
@@ -417,7 +414,9 @@ def schedule_batch(
             state = _ChunkState(
                 index=index, blocks=chunk, offset=index * config.chunk_size
             )
-            outcome = _run_chunk(machine, state, config, plan, cache, result)
+            outcome = _run_chunk(
+                machine, state, config, plan, cache, make_engine, result
+            )
             result.schedules.extend(outcome.schedules)
             result.stats += outcome.stats
             result.cache_stats += outcome.cache_stats

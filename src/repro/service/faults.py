@@ -1,32 +1,25 @@
 """Deterministic fault injection for the batch service.
 
 The resilience layer (:mod:`repro.service.resilience`) claims that a
-batch run survives transient scheduling errors and corrupt disk-cache
-entries *without changing its output*.  That claim is only testable if
-the faults themselves are reproducible, so this module injects them by
-**seeded rule**, not by chance: every rule names the chunk index and
-attempt numbers it fires on, which makes a fault profile a pure
-function of the batch partition -- the same property the service's
-determinism contract is built on.
+batch run survives transient scheduling errors *without changing its
+output*.  That claim is only testable if the faults themselves are
+reproducible, so this module injects them by **seeded rule**, not by
+chance: every rule names the chunk index and attempt numbers it fires
+on, which makes a fault profile a pure function of the batch partition
+-- the same property the service's determinism contract is built on.
 
 Faults are off unless a plan is installed programmatically
 (:func:`install` / :func:`injected`) or via the ``REPRO_FAULTS``
 environment variable (mirroring ``REPRO_OBS``).  The spec grammar is a
 ``;``-separated rule list::
 
-    REPRO_FAULTS="seed=42;sched@0#0,1;corrupt@0"
+    REPRO_FAULTS="seed=42;sched@0#0,1;sched@1#*"
 
     rule    := kind '@' chunk ['#' attempts]
-    kind    := 'sched' | 'corrupt'
+    kind    := 'sched'
     attempts:= '*' | int (',' int)*      (default: first attempt only)
 
-* ``sched``  -- raise a transient :class:`~repro.errors.SchedulingError`.
-* ``corrupt``-- scribble over every published LMDES artifact in the
-  run's cache directory, so the next description load exercises the
-  disk tier's quarantine-and-rebuild path for real.  Only a load that
-  misses the in-memory LRU reads the file: ``corrupt@0`` over a
-  warm cache directory does, while a later chunk finds the
-  description in memory and leaves the scribbled file unread.
+* ``sched`` -- raise a transient :class:`~repro.errors.SchedulingError`.
 
 ``attempts`` defaults to ``(0,)``: a fault fires on its chunk's first
 attempt and not on retries, which is what *transient* means here.
@@ -45,22 +38,17 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 
 logger = logging.getLogger("repro.service.faults")
 
-#: Recognised fault kinds, in the order multiple matches are applied.
-KINDS = ("corrupt", "sched")
+#: Recognised fault kinds.
+KINDS = ("sched",)
 
 #: Environment variable holding the process-wide fault spec.
 ENV_VAR = "REPRO_FAULTS"
-
-#: What corrupt rules overwrite artifacts with -- deliberately not
-#: JSON, so ``load_lmdes`` fails structurally, not subtly.
-CORRUPT_BYTES = b"\x00repro-fault-injection: corrupted artifact\x00"
 
 
 @dataclass(frozen=True)
@@ -107,10 +95,8 @@ class FaultPlan:
     seed: int = 0
 
     def rules_for(self, chunk: int, attempt: int) -> List[FaultRule]:
-        """Matching rules in application order (corrupt before sched)."""
-        matched = [r for r in self.rules if r.matches(chunk, attempt)]
-        matched.sort(key=lambda rule: KINDS.index(rule.kind))
-        return matched
+        """The rules that fire on ``(chunk, attempt)``, in spec order."""
+        return [r for r in self.rules if r.matches(chunk, attempt)]
 
     def spec(self) -> str:
         """The plan in the ``REPRO_FAULTS`` grammar (parse round-trip)."""
@@ -212,32 +198,10 @@ def suppressed() -> Iterator[None]:
 # ----------------------------------------------------------------------
 
 
-def _corrupt_cache_dir(cache_dir: Optional[str]) -> int:
-    """Overwrite every published artifact in ``cache_dir``; returns count.
-
-    The corruption is real bytes on disk, so recovery runs through the
-    production quarantine path in :mod:`repro.engine.diskcache`, not a
-    mock.
-    """
-    if not cache_dir:
-        return 0
-    corrupted = 0
-    for path in sorted(Path(cache_dir).glob("*.lmdes.json")):
-        try:
-            path.write_bytes(CORRUPT_BYTES)
-            corrupted += 1
-        except OSError:  # pragma: no cover - fs race; injection is best-effort
-            pass
-    return corrupted
-
-
 def apply_chunk_faults(
-    plan: Optional[FaultPlan],
-    chunk: int,
-    attempt: int,
-    cache_dir: Optional[str] = None,
+    plan: Optional[FaultPlan], chunk: int, attempt: int
 ) -> None:
-    """Fire every rule matching ``(chunk, attempt)``; called per attempt.
+    """Fail the attempt if a rule matches ``(chunk, attempt)``.
 
     Runs before the chunk's trace capture opens, so a faulted attempt
     leaves no spans behind -- the recovered trace stays identical to a
@@ -245,22 +209,16 @@ def apply_chunk_faults(
     """
     if plan is None or _SUPPRESS_DEPTH:
         return
-    for rule in plan.rules_for(chunk, attempt):
+    rules = plan.rules_for(chunk, attempt)
+    if rules:
         logger.warning(
             "injecting fault %s on chunk %d attempt %d",
-            rule.spec(), chunk, attempt,
+            rules[0].spec(), chunk, attempt,
         )
-        if rule.kind == "corrupt":
-            count = _corrupt_cache_dir(cache_dir)
-            logger.warning(
-                "fault injection corrupted %d cache artifact(s) in %s",
-                count, cache_dir,
-            )
-        elif rule.kind == "sched":
-            raise SchedulingError(
-                f"injected transient fault (chunk {chunk}, "
-                f"attempt {attempt})"
-            )
+        raise SchedulingError(
+            f"injected transient fault (chunk {chunk}, "
+            f"attempt {attempt})"
+        )
 
 
 __all__ = [

@@ -72,8 +72,6 @@ class BatchConfig:
             Part of the result's deterministic identity: every chunk
             gets a fresh engine, so the summed stats of engine-memoizing
             backends depend on the partition.
-        cache_dir: Directory for the persistent description cache;
-            ``None`` disables the disk tier.
         direction: Scheduling direction, as in the list scheduler.
         retry: Chunk retry budget and backoff shape.
         on_error: ``"raise"`` raises :class:`ServiceError` when any
@@ -91,7 +89,6 @@ class BatchConfig:
     lmdes_path: Optional[str] = None
     stage: int = FINAL_STAGE
     chunk_size: int = 32
-    cache_dir: Optional[str] = None
     direction: str = "forward"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     on_error: str = "raise"

@@ -31,19 +31,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.errors import CacheCorruptionError, SchedulingError
+from repro.errors import SchedulingError
 
-#: Failure types worth retrying: transient by nature (a
-#: quarantined-and-rebuilt cache entry, an I/O error) or by convention
-#: (SchedulingError covers injected transients and solver give-ups that
-#: a fresh attempt may clear).  Everything else -- a KeyError from an
-#: unknown opcode, a ValueError from bad config -- is deterministic and
-#: goes straight to isolation.
-RETRYABLE_TYPES = (
-    SchedulingError,
-    CacheCorruptionError,
-    OSError,
-)
+#: Failure types worth retrying: ``SchedulingError`` covers injected
+#: transients and solver give-ups that a fresh attempt may clear.  No
+#: chunk reads a file, so everything else -- a KeyError from an unknown
+#: opcode, a ValueError from bad config -- is deterministic and goes
+#: straight to isolation.
+RETRYABLE_TYPES = (SchedulingError,)
 
 
 def is_retryable(error: BaseException) -> bool:

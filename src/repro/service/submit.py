@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
 from repro.engine.cache import DescriptionCache
-from repro.engine.diskcache import DiskDescriptionCache
 from repro.errors import ShuttingDownError
 from repro.service.models import BatchRequest
 from repro.service.batch import BatchResult, schedule_batch
@@ -33,8 +32,6 @@ class BatchSubmitter:
     """Run :class:`BatchRequest`\\ s against one warm description cache.
 
     Args:
-        cache_dir: Disk tier for the warm cache; ``None`` keeps it
-            memory-only.
         max_workers: Threads running batch drivers concurrently; they
             keep compiles and schedules off the event loop.
         cache: Lend an existing cache instead of building one (tests,
@@ -43,15 +40,13 @@ class BatchSubmitter:
 
     def __init__(
         self,
-        cache_dir: Optional[str] = None,
         max_workers: int = 4,
         cache: Optional[DescriptionCache] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1: {max_workers}")
         if cache is None:
-            disk = DiskDescriptionCache(cache_dir) if cache_dir else None
-            cache = DescriptionCache(disk=disk, name="server")
+            cache = DescriptionCache(name="server")
         self.cache = cache
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-submit"
@@ -141,10 +136,6 @@ class BatchSubmitter:
             "memory_hits": stats.hits,
             "memory_misses": stats.misses,
             "evictions": stats.evictions,
-            "disk_hits": stats.disk_hits,
-            "disk_misses": stats.disk_misses,
-            "disk_stores": stats.disk_stores,
-            "disk_quarantined": stats.disk_quarantined,
         }
 
     def close(self, wait: bool = True) -> None:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.engine.cache import DescriptionCache
-from repro.engine.diskcache import DiskDescriptionCache, machine_content_token
+from repro.engine.cache import DescriptionCache, machine_content_token
 from repro.machines import get_machine
 from repro.machines import synth
 from repro.service.models import (
@@ -44,7 +43,7 @@ from repro.workloads import WorkloadConfig
 #: Warm-cache bound for sweep runs: every variant visits the cache once
 #: (an "mdes" and an "lmdes" entry each), so the sweep is an eviction
 #: *churn* workload by design; the bound keeps memory flat at any fleet
-#: size while the disk tier (``cache_dir``) persists across sweeps.
+#: size.
 SWEEP_CACHE_SIZE = 256
 
 
@@ -74,7 +73,6 @@ class SweepConfig:
         exact_ops: Exact-sample workload size.
         exact_node_budget: Exact-search node budget (node-only, so the
             sample stays deterministic).
-        cache_dir: Disk tier for the warm description cache.
         chunk_size: Batch-driver chunk size per variant run.
     """
 
@@ -90,7 +88,6 @@ class SweepConfig:
     exact_sample: int = 0
     exact_ops: int = 24
     exact_node_budget: int = 50_000
-    cache_dir: Optional[str] = None
     chunk_size: int = 32
 
     def validate(self) -> "SweepConfig":
@@ -273,13 +270,7 @@ def run_sweep(
         obs.enable()
     try:
         if cache is None:
-            disk = (
-                DiskDescriptionCache(config.cache_dir)
-                if config.cache_dir else None
-            )
-            cache = DescriptionCache(
-                maxsize=SWEEP_CACHE_SIZE, disk=disk, name="sweep"
-            )
+            cache = DescriptionCache(maxsize=SWEEP_CACHE_SIZE, name="sweep")
         before = cache.stats.copy()
         submitter = BatchSubmitter(max_workers=1, cache=cache)
         variants: List[VariantResult] = []
@@ -311,9 +302,6 @@ def run_sweep(
                 "memory_hits": delta.hits,
                 "memory_misses": delta.misses,
                 "evictions": delta.evictions,
-                "disk_hits": delta.disk_hits,
-                "disk_misses": delta.disk_misses,
-                "disk_stores": delta.disk_stores,
                 "entries": len(cache),
             },
             wall_seconds=(

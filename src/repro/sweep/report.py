@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when the JSONL layout changes.
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 @dataclass

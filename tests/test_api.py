@@ -10,8 +10,8 @@ import pytest
 from repro import api
 from repro.engine import create_engine
 from repro.errors import (
-    CacheCorruptionError,
     DeadlineExceededError,
+    MdesError,
     ReproError,
     SchedulingError,
     ServiceError,
@@ -38,9 +38,7 @@ class TestFacadeSurface:
             assert getattr(api, name) is not None, name
 
     def test_error_taxonomy_roots_at_repro_error(self):
-        for error_type in (
-            SchedulingError, ServiceError, CacheCorruptionError,
-        ):
+        for error_type in (SchedulingError, ServiceError, MdesError):
             assert issubclass(error_type, ReproError)
         for error_type in (DeadlineExceededError, VerificationError):
             assert issubclass(error_type, ServiceError)

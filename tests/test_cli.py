@@ -284,32 +284,6 @@ class TestScheduleBatch:
         assert code == 0, err
         return json.loads(out)
 
-    def test_cache_dir_cold_then_warm(self, run_cli, tmp_path):
-        cache_dir = str(tmp_path / "mdes-cache")
-        cold = self._json_run(
-            run_cli, "--machine", "K5", "--ops", "200",
-            "--cache-dir", cache_dir,
-        )
-        assert cold["cache"]["disk_stores"] >= 1
-        assert cold["cache"]["disk_hits"] == 0
-        warm = self._json_run(
-            run_cli, "--machine", "K5", "--ops", "200",
-            "--cache-dir", cache_dir,
-        )
-        assert warm["cache"]["disk_hits"] >= 1
-        assert warm["cache"]["disk_misses"] == 0
-        assert warm["cache"]["disk_stores"] == 0
-        assert warm["attempts"] == cold["attempts"]
-
-    def test_cache_dir_human_output(self, run_cli, tmp_path):
-        code, out, _ = run_cli(
-            "schedule-batch", "--machine", "K5", "--ops", "100",
-            "--cache-dir", str(tmp_path / "cache"),
-        )
-        assert code == 0
-        assert "description cache:" in out
-        assert "store(s)" in out
-
     def test_backend_excludes_lmdes(self, run_cli, tmp_path):
         code, _, err = run_cli(
             "schedule-batch", "--machine", "K5", "--ops", "100",
@@ -646,6 +620,16 @@ _BAD_TRACES = {
     ),
 }
 _BAD_HMDES = "mdes M;\nsection resource {\n  A; @\n}\n"
+#: ``schedule-batch --lmdes F`` cases: F's text (``None``: no file) and
+#: a fragment of the one-line message.
+_BAD_LMDES = {
+    "missing": (None, "No such file or directory"),
+    "not_an_object": ("[1, 2]", "not an LMDES document"),
+    "no_tables": (
+        '{"format": "lmdes", "version": 1}',
+        "not an LMDES document: KeyError: 'resources'",
+    ),
+}
 
 
 class TestUserFileErrors:
@@ -687,6 +671,21 @@ class TestUserFileErrors:
         )
         self._assert_input_error(run_cli(*argv), command, message)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(_BAD_LMDES))
+    def test_bad_lmdes(self, run_cli, tmp_path, case):
+        """A bad ``--lmdes`` file is bad input, read once before the
+        first chunk: exit 2, not a quarantined block (exit 3)."""
+        text, message = _BAD_LMDES[case]
+        path = tmp_path / "k5.lmdes.json"
+        if text is not None:
+            path.write_text(text)
+        result = run_cli(
+            "schedule-batch", "--machine", "K5", "--ops", "40",
+            "--retries", "2", "--lmdes", str(path),
+        )
+        self._assert_input_error(result, "schedule-batch", message)
+        assert "quarantined" not in result[2]
 
     def test_trace_input_missing(self, run_cli, tmp_path):
         self._assert_input_error(

@@ -284,17 +284,14 @@ class TestViews:
         ) is None
 
     def test_cache_stats_split_by_tier_and_outcome(self):
-        stats = CacheStats(hits=2, misses=3, disk_hits=1, disk_misses=4,
-                           disk_stores=4, disk_quarantined=1, evictions=2)
+        stats = CacheStats(hits=2, misses=3, evictions=2)
         obs.register_cache_stats(stats, cache="global")
         value = obs.REGISTRY.value
         assert value("repro_cache_requests_total", cache="global",
                      outcome="hit", tier="memory") == 2
         assert value("repro_cache_requests_total", cache="global",
-                     outcome="miss", tier="disk") == 4
+                     outcome="miss", tier="memory") == 3
         assert value("repro_cache_evictions_total", cache="global") == 2
-        assert value("repro_cache_disk_quarantined_total",
-                     cache="global") == 1
 
     def test_views_survive_in_live_exposition(self):
         stats = CheckStats()

@@ -22,6 +22,7 @@ import tracemalloc
 import pytest
 
 from repro import obs
+from repro.engine import DescriptionCache
 from repro.obs import prof
 from repro.obs.trace import Span
 from repro.service import BatchConfig, schedule_batch
@@ -196,21 +197,19 @@ class TestMergedTraceFlamegraph:
     """A batch run's merged trace collapses to stacks under its root."""
 
     @pytest.mark.parametrize("memory", [False, True])
-    def test_batch_stacks_sit_under_the_batch_root(self, tmp_path, memory):
+    def test_batch_stacks_sit_under_the_batch_root(self, memory):
         machine_name = "PA7100"
         _, blocks = shared_workload(machine_name, 120, 11)
-        config = BatchConfig(
-            backend="bitvector", stage=4, chunk_size=4,
-            cache_dir=str(tmp_path),
-        )
-        # Warm the disk tier so compile work collapses to a disk hit.
-        schedule_batch(machine_name, blocks, config)
+        config = BatchConfig(backend="bitvector", stage=4, chunk_size=4)
+        # Warm one cache so the traced run does no compile work.
+        cache = DescriptionCache()
+        schedule_batch(machine_name, blocks, config, cache=cache)
 
         obs.enable()
         if memory:
             obs.enable_memory()
         obs.reset()
-        schedule_batch(machine_name, blocks, config)
+        schedule_batch(machine_name, blocks, config, cache=cache)
         stacks = set(prof.parse_flamegraph(prof.flamegraph(obs.TRACER)))
         assert any(stack.endswith("batch:chunk") for stack in stacks)
         assert all(stack.startswith("service:batch") for stack in stacks)

@@ -1,12 +1,12 @@
 """Fault-injection differential matrix for the resilient batch service.
 
 The resilience layer's contract is determinism under recovery: a batch
-run surviving injected transient scheduling errors and corrupt
-disk-cache entries produces output **bit-for-bit identical** to a clean
-run: the same schedule signatures, the same folded :class:`CheckStats`,
-and the same merged span skeleton.  This suite asserts exactly that,
-plus the surrounding machinery: deterministic backoff, the
-``REPRO_FAULTS`` grammar, and poisoned-block quarantine.
+run surviving injected transient scheduling errors produces output
+**bit-for-bit identical** to a clean run: the same schedule
+signatures, the same folded :class:`CheckStats`, and the same merged
+span skeleton.  This suite asserts exactly that, plus the surrounding
+machinery: deterministic backoff, the ``REPRO_FAULTS`` grammar, and
+poisoned-block quarantine.
 
 Every fault profile here is seeded by rule -- chunk index and attempt
 numbers -- so the tests are reproducible, not merely likely to pass.
@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from repro import obs
-from repro.engine import create_engine
+from repro.engine import DescriptionCache, create_engine
 from repro.errors import ServiceError
 from repro.scheduler import schedule_workload
 from repro.service import (
@@ -130,11 +130,12 @@ class TestRetryPolicy:
             BatchConfig(retry=RetryPolicy(retries=-1)).validate()
 
     def test_retryable_classification(self):
-        from repro.errors import CacheCorruptionError, SchedulingError
+        from repro.errors import MdesError, SchedulingError
 
         assert is_retryable(SchedulingError("transient"))
-        assert is_retryable(CacheCorruptionError("scribbled"))
-        assert is_retryable(OSError("disk full"))
+        # No chunk reads a file, so an OSError is not transient.
+        assert not is_retryable(OSError("no such file"))
+        assert not is_retryable(MdesError("not an LMDES document"))
         assert not is_retryable(KeyError("BOGUS"))
         assert not is_retryable(ValueError("bad config"))
 
@@ -145,7 +146,7 @@ class TestRetryPolicy:
 
 
 class TestFaultSpec:
-    SPEC = "seed=42;sched@0#0,1;corrupt@3#*"
+    SPEC = "seed=42;sched@0#0,1;sched@3#*"
 
     def test_parse_round_trips_through_spec(self):
         plan = parse_faults(self.SPEC)
@@ -153,10 +154,9 @@ class TestFaultSpec:
         assert parse_faults(plan.spec()) == plan
 
     def test_parsed_rules(self):
-        plan = parse_faults(self.SPEC)
-        by_kind = {rule.kind: rule for rule in plan.rules}
-        assert by_kind["sched"].attempts == (0, 1)
-        assert by_kind["corrupt"].attempts == ()  # every attempt
+        first, second = parse_faults(self.SPEC).rules
+        assert (first.chunk, first.attempts) == (0, (0, 1))
+        assert (second.chunk, second.attempts) == (3, ())  # every attempt
         assert parse_faults("sched@1").rules[0].attempts == (0,)
 
     def test_attempt_matching(self):
@@ -167,17 +167,13 @@ class TestFaultSpec:
         deterministic = FaultRule("sched", chunk=2, attempts=())
         assert deterministic.matches(2, 0) and deterministic.matches(2, 9)
 
-    def test_rules_apply_in_kind_order(self):
-        plan = parse_faults("sched@0#*;corrupt@0#*")
-        kinds = [rule.kind for rule in plan.rules_for(0, 0)]
-        assert kinds == ["corrupt", "sched"]
-
     @pytest.mark.parametrize("bad", [
         "explode@0",          # unknown kind
         "sched",              # missing @chunk
         "sched@x",            # non-integer chunk
         "sched@-1",           # negative chunk
         "crash@0",            # unknown kind: a stale profile fails loudly
+        "corrupt@0",          # unknown kind: no run has a file to scribble
         "sched@0:1.5",        # rules take no parameter
     ])
     def test_rejects_malformed_specs(self, bad):
@@ -218,8 +214,7 @@ def span_skeleton(tracer):
     Keeps ``service:batch`` / ``batch:chunk`` / ``schedule:list`` --
     the spans whose names, order, and attributes the determinism
     contract covers.  ``resilience:*`` spans (recovery is *allowed* to
-    differ) and ``engine:create`` subtrees (a quarantined cache entry
-    legitimately recompiles instead of disk-hitting) are filtered out.
+    differ) and ``engine:create`` subtrees are filtered out.
     """
     keep = {"service:batch", "batch:chunk", "schedule:list"}
 
@@ -283,26 +278,23 @@ class TestSerialRecovery:
         assert_same_outcome(first, second)
         assert first.retries == second.retries == 2
 
-    def test_acceptance_matrix_sched_corruption(self, tmp_path):
+    def test_acceptance_matrix_sched_faults(self):
         """A seeded fault profile changes nothing a clean run reports.
 
-        Transient scheduling errors and corrupt disk-cache entries are
-        injected, and the recovered run's schedules, folded CheckStats,
-        and merged span skeleton are bit-for-bit identical to a clean
-        run over the same warmed cache.
+        Chunk 0 fails twice and recovers on its last retry; chunk 1
+        fails on every attempt and recovers through isolation.  The
+        recovered run's schedules, folded CheckStats, and merged span
+        skeleton are bit-for-bit identical to a clean run's over the
+        same warm cache.
         """
         machine, blocks = workload(ops=220, seed=31)
         assert len(blocks) >= 9  # at least three chunks of four
-        knobs = dict(chunk_size=CHUNK, stage=STAGE,
-                     cache_dir=str(tmp_path))
-
-        # Warm the disk tier so the clean reference disk-hits.
-        clean_serial(MACHINE, blocks, cache_dir=str(tmp_path))
-
-        # corrupt@0#* -- chunk 0 scribbles the cache before its own
-        #   (cold) load on every attempt: a guaranteed quarantine.
-        # sched@1#0,1 -- two transient failures, inside the budget.
-        profile = parse_faults("seed=42;corrupt@0#*;sched@1#0,1")
+        config = BatchConfig(chunk_size=CHUNK, stage=STAGE)
+        profile = parse_faults("seed=42;sched@0#0,1;sched@1#*")
+        # One warm cache: neither traced run compiles.
+        cache = DescriptionCache()
+        with faults.injected(FaultPlan()):
+            schedule_batch(MACHINE, blocks, config, cache=cache)
 
         was_enabled = obs.enabled()
         obs.enable()
@@ -310,7 +302,7 @@ class TestSerialRecovery:
             obs.reset()
             with faults.injected(FaultPlan()):
                 reference = schedule_batch(
-                    MACHINE, blocks, BatchConfig(**knobs)
+                    MACHINE, blocks, config, cache=cache
                 )
             reference_tree = span_skeleton(obs.TRACER)
 
@@ -318,14 +310,13 @@ class TestSerialRecovery:
             with faults.injected(profile):
                 result = schedule_batch(
                     MACHINE, blocks,
-                    BatchConfig(
-                        retry=RetryPolicy(
-                            retries=2, backoff_base=0.01, seed=42,
-                        ),
-                        **knobs,
-                    ),
+                    dataclasses.replace(config, retry=RetryPolicy(
+                        retries=2, backoff_base=0.01, seed=42,
+                    )),
+                    cache=cache,
                 )
             recovered_tree = span_skeleton(obs.TRACER)
+            phases = obs.summary()["phases"]
         finally:
             if not was_enabled:
                 obs.disable()
@@ -337,15 +328,8 @@ class TestSerialRecovery:
 
         # The faults really happened and really were recovered.
         assert result.errors == []
-        assert result.retries >= 1
-        # The corrupt entry really went through the production
-        # quarantine path, which counts it and leaves the renamed
-        # ``*.bad`` artifact behind.
-        quarantine_evidence = (
-            result.cache_stats.disk_quarantined
-            + len(list(tmp_path.glob("*.bad")))
-        )
-        assert quarantine_evidence >= 1
+        assert result.retries == 4
+        assert "resilience:isolate" in phases
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.engine import DescriptionCache, create_engine
 from repro.transforms.pipeline import staged_mdes
 from repro.errors import MdesError
 from repro.lowlevel import compile_mdes, mdes_size_bytes
@@ -70,6 +71,46 @@ class TestRoundTrip:
             == recovered.stats.resource_checks
         )
 
+    @pytest.mark.parametrize("machine_name", MACHINE_NAMES)
+    def test_cold_build_and_lmdes_load_are_equivalent(self, machine_name):
+        """A saved stage-4 description loads back into one that
+        schedules identically, counters included."""
+        machine = get_machine(machine_name)
+        cold = DescriptionCache().compiled(machine, "andor", 4, True)
+        loaded = roundtrip(cold)
+        assert loaded is not cold
+        assert mdes_size_bytes(loaded) == mdes_size_bytes(cold)
+        blocks = generate_blocks(
+            machine, WorkloadConfig(total_ops=150, seed=7)
+        )
+        reference = schedule_workload(
+            machine, cold, blocks, keep_schedules=True
+        )
+        recovered = schedule_workload(
+            machine, loaded, blocks, keep_schedules=True
+        )
+        assert recovered.signature() == reference.signature()
+        assert recovered.stats == reference.stats
+
+    def test_reduced_description_round_trips(self):
+        """The Eichenberger-Davidson reduction is baked into the file."""
+        machine = get_machine("PA7100")
+        blocks = generate_blocks(
+            machine, WorkloadConfig(total_ops=150, seed=7)
+        )
+        engine = create_engine(
+            "eichenberger", machine, cache=DescriptionCache()
+        )
+        loaded = roundtrip(engine.compiled)
+        reference = schedule_workload(
+            machine, None, blocks, keep_schedules=True, engine=engine
+        )
+        recovered = schedule_workload(
+            machine, loaded, blocks, keep_schedules=True
+        )
+        assert recovered.signature() == reference.signature()
+        assert recovered.stats == reference.stats
+
     def test_metadata_preserved(self):
         machine = get_machine("SuperSPARC")
         loaded = roundtrip(compile_mdes(machine.build_andor()))
@@ -82,8 +123,18 @@ class TestRoundTrip:
 
 class TestFormatErrors:
     def test_not_lmdes(self):
-        with pytest.raises(MdesError, match="not an LMDES"):
-            load_lmdes(json.dumps({"format": "elf"}))
+        text = save_lmdes(compile_mdes(get_machine("PA7100").build_andor()))
+        document = json.loads(text)
+        for bad in (
+            json.dumps({"format": "elf"}),
+            "[1, 2]",
+            json.dumps({"format": "lmdes", "version": LMDES_VERSION}),
+            text[: len(text) // 2],
+            json.dumps(dict(document, or_trees=[[len(document["options"])]])),
+            json.dumps(dict(document, bypasses=[["alu"]])),
+        ):
+            with pytest.raises(MdesError, match="not an LMDES"):
+                load_lmdes(bad)
 
     def test_wrong_version(self):
         document = json.loads(

@@ -618,13 +618,13 @@ class TestWireModels:
                 "config": {"retries": 1, "chunk_size": 8},
                 "include_schedules": False,
             },
-            base_config=BatchConfig(cache_dir="/srv/cache"),
+            base_config=BatchConfig(lmdes_path="/srv/k5.lmdes.json"),
         )
         assert include is False
         assert request.config.retry.retries == 1
         assert request.config.chunk_size == 8
-        # The server-side placement knob survives the overlay.
-        assert request.config.cache_dir == "/srv/cache"
+        # A server-side field the wire cannot set survives the overlay.
+        assert request.config.lmdes_path == "/srv/k5.lmdes.json"
 
     def test_response_to_dict_round_trips_json(self):
         response = serial_schedule("Pentium", 50, 4)

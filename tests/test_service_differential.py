@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.analysis.experiments import ExperimentSuite
 from repro.engine import (
     DescriptionCache,
-    DiskDescriptionCache,
     create_engine,
     engine_names,
     get_engine_spec,
@@ -41,22 +40,15 @@ def workload(machine_name, ops=220, seed=11):
 
 
 @pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    """One disk tier for the module's serial reference and batch legs.
-
-    The serial reference runs first and stores each (machine, backend)
-    compile; the batch run then loads the LMDES artifact instead of
-    recompiling (on a 2-vCPU VM, K5 flat-OR at stage 4 compiled in
-    0.14 s, or 0.21 s with the Eichenberger-Davidson reduction, and its
-    artifact loaded in 0.04 s).
-    """
-    return str(tmp_path_factory.mktemp("differential-cache"))
+def shared_cache():
+    """One description cache for the module's serial reference and
+    batch legs: each (machine, backend) compiles once, in the serial
+    reference, and the batch run finds it there."""
+    return DescriptionCache(name="differential")
 
 
-def serial_chunked_reference(machine, blocks, backend, cache_dir,
-                             chunk=CHUNK):
+def serial_chunked_reference(machine, blocks, backend, cache, chunk=CHUNK):
     """Ground truth: plain schedule_workload per chunk, stats folded."""
-    cache = DescriptionCache(disk=DiskDescriptionCache(cache_dir))
     signature = []
     stats = CheckStats()
     total_ops = total_cycles = 0
@@ -80,21 +72,17 @@ class TestDifferential:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("machine_name", MACHINE_NAMES)
     def test_batch_matches_serial_chunked_reference(
-        self, machine_name, backend, cache_dir
+        self, machine_name, backend, shared_cache
     ):
         machine, blocks = workload(machine_name)
         signature, stats, ops, cycles = serial_chunked_reference(
-            machine, blocks, backend, cache_dir
+            machine, blocks, backend, shared_cache
         )
         result = schedule_batch(
             machine_name,
             blocks,
-            BatchConfig(
-                backend=backend,
-                stage=STAGE,
-                chunk_size=CHUNK,
-                cache_dir=cache_dir,
-            ),
+            BatchConfig(backend=backend, stage=STAGE, chunk_size=CHUNK),
+            cache=shared_cache,
         )
         assert result.signature() == signature
         assert result.stats == stats
@@ -174,20 +162,20 @@ class TestDifferential:
         chunk=st.integers(min_value=1, max_value=24),
     )
     def test_property_batch_matches_serial_chunked_reference(
-        self, cache_dir, seed, ops, chunk
+        self, shared_cache, seed, ops, chunk
     ):
         """For random workloads and chunkings, the batch driver equals
         the hand-chunked reference (automata included: its memo table
         restarts with every chunk's fresh engine)."""
         machine, blocks = workload("K5", ops=ops, seed=seed)
         signature, stats, total_ops, cycles = serial_chunked_reference(
-            machine, blocks, "automata", cache_dir, chunk=chunk
+            machine, blocks, "automata", shared_cache, chunk=chunk
         )
         result = schedule_batch(
             "K5",
             blocks,
-            BatchConfig(backend="automata", stage=STAGE,
-                        chunk_size=chunk, cache_dir=cache_dir),
+            BatchConfig(backend="automata", stage=STAGE, chunk_size=chunk),
+            cache=shared_cache,
         )
         assert result.signature() == signature
         assert result.stats == stats
@@ -213,8 +201,8 @@ class TestSpanMergeDeterminism:
     The driver attaches each chunk's captured spans in chunk order, so
     the merged trace tree -- names, nesting, order, and every
     non-timing attribute -- is identical from run to run, just like the
-    schedules and the stats fold.  The disk cache is warmed first so
-    compile work collapses to disk hits in both traced runs.
+    schedules and the stats fold.  One warm cache serves both traced
+    runs, so neither compiles.
     """
 
     @classmethod
@@ -226,17 +214,14 @@ class TestSpanMergeDeterminism:
     def _tree(cls, tracer):
         return tuple(cls._shape(root) for root in tracer.roots)
 
-    def test_chunk_spans_merge_in_chunk_order(self, tmp_path):
+    def test_chunk_spans_merge_in_chunk_order(self):
         from repro import obs
 
         machine_name = "PA7100"
         _, blocks = workload(machine_name, ops=120)
-        config = BatchConfig(
-            backend="bitvector", stage=STAGE, chunk_size=4,
-            cache_dir=str(tmp_path),
-        )
-        # Warm the disk tier: both traced runs disk-hit their compile.
-        schedule_batch(machine_name, blocks, config)
+        config = BatchConfig(backend="bitvector", stage=STAGE, chunk_size=4)
+        cache = DescriptionCache()
+        schedule_batch(machine_name, blocks, config, cache=cache)
 
         was_enabled = obs.enabled()
         obs.enable()
@@ -244,7 +229,7 @@ class TestSpanMergeDeterminism:
         try:
             for _ in range(2):
                 obs.reset()
-                schedule_batch(machine_name, blocks, config)
+                schedule_batch(machine_name, blocks, config, cache=cache)
                 trees.append(self._tree(obs.TRACER))
         finally:
             if not was_enabled:

@@ -4,8 +4,8 @@ The fleet generator's contract, pinned four ways:
 
 * **Determinism**: the same ``(family, seed, index)`` triple builds
   byte-identical HMDES source in any process -- the property that lets
-  the server, the sweep driver and the disk cache rebuild or find any
-  variant from its registry name alone.
+  the server, the sweep driver and the description cache rebuild or
+  find any variant from its registry name alone.
 * **Full-stack legality**: every variant's source is writer-serialized
   HMDES, so building it exercises the writer -> parser -> translator
   front end; every preset family must come out schedulable.
